@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Optional
 
@@ -52,11 +53,13 @@ class RunConfig:
 
 
 def _parse_x(text: str) -> int:
+    """Positive integer bound, exact: 1000000000000000001, 1e8 or 2.5e9."""
     try:
-        val = float(text)
-    except ValueError as exc:
+        val = Decimal(text)
+        finite = math.isfinite(float(val))
+    except (InvalidOperation, ValueError) as exc:
         raise UsageError(f"bad number {text!r}") from exc
-    if not math.isfinite(val) or val < 1:
+    if not finite or val < 1 or val != val.to_integral_value():
         raise UsageError(f"bad bound {text!r}")
     return int(val)
 
@@ -119,7 +122,7 @@ def _outdir(cfg: RunConfig) -> str:
 
 
 def _dump_json(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
@@ -344,6 +347,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     d = cfg.extras["d"]
     p = trend.predict_first_occurrence(d, cfg.q)
     lo, hi = trend.first_occurrence_bounds(d, cfg.q)
+    # past float range the predictor is inf, which JSON cannot hold
+    p, lo, hi = (None if math.isinf(v) else v for v in (p, lo, hi))
     _dump_json({"q": cfg.q, "d": d, "location": p, "lower": lo, "upper": hi}, None)
     return EXIT_OK
 

@@ -121,7 +121,9 @@ def scan_many(
         raise ValueError("x_max must be positive")
     phi = totient(q)
     states = {r: _ClassState() for r in rs}
-    rs_arr = np.array(rs, dtype=np.int64)
+    # residues < q fit a narrow type, which numpy's stable sort radix-sorts
+    key_type = np.min_scalar_type(q - 1)
+    rs_arr = np.array(rs, dtype=key_type)
     for seg in sieve.iter_prime_segments(1, x_max, seg_len=seg_len, threads=threads):
         primes = seg.primes
         if not len(primes):
@@ -132,7 +134,7 @@ def scan_many(
             if len(sub):
                 _advance(states[r], sub, phi)
             continue
-        residues = primes % q
+        residues = (primes % q).astype(key_type)
         order = np.argsort(residues, kind="stable")
         sorted_res = residues[order]
         los = np.searchsorted(sorted_res, rs_arr, side="left")

@@ -1,8 +1,12 @@
 """Segmented prime generation over [lo, hi], optionally restricted to a residue class.
 
-The sieve marks the full interval and filters by residue afterwards: residue
-filtering is a single vectorized modulo over each segment, and the scanner
-typically wants many residues of the same modulus from one pass anyway.
+Each segment is sieved over its odd numbers only: mask entry i stands for
+(lo | 1) + 2i, the prime 2 is added back by hand, and the odd base primes
+strike their odd multiples with step p in the mask (2p in the numbers).
+``seg_len`` still counts the numbers a segment spans, so a segment's mask
+holds about seg_len / 2 bytes. Residues are filtered after sieving: a single
+vectorized modulo over each segment, and the scanner typically wants many
+residues of the same modulus from one pass anyway.
 """
 
 from __future__ import annotations
@@ -58,15 +62,10 @@ class PrimeSegment:
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit via a monolithic sieve of Eratosthenes."""
+    """All primes <= limit, sieved as the single interval [1, limit]."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return _sieve_odd(1, limit)
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -77,22 +76,39 @@ def _check_range(lo: int, hi: int) -> None:
 
 
 def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
-    """Primes in [lo, hi] as an int64 array."""
+    """Primes in [lo, hi] as an int64 array.
+
+    base, when given, must hold every odd prime <= isqrt(hi) in ascending
+    order (the output of base_primes); other entries are ignored.
+    """
     _check_range(lo, hi)
+    return _sieve_odd(lo, hi, base)
+
+
+def _sieve_odd(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
+    # Private, so the base-prime recursion adds no calls to the public
+    # functions that tracing and profiling see.
+    root = math.isqrt(hi)
     if base is None:
-        base = base_primes(math.isqrt(hi))
-    mask = np.ones(hi - lo + 1, dtype=bool)
-    if lo == 1:
+        base = _sieve_odd(1, root) if root >= 3 else np.empty(0, dtype=np.int64)
+    o0 = lo | 1
+    mask = np.ones((hi - o0) // 2 + 1, dtype=bool)
+    if o0 == 1:
         mask[0] = False
-    for p in base:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start > hi:
-            continue
-        mask[start - lo :: p] = False
-    return (np.flatnonzero(mask) + lo).astype(np.int64)
+    odd_lo = int(np.searchsorted(base, 3))
+    odd_hi = int(np.searchsorted(base, root, side="right"))
+    for p in base[odd_lo:odd_hi].tolist():
+        # first odd multiple of p that is >= max(p^2, o0)
+        start = max(p * p, -(-o0 // p) * p)
+        if not start & 1:
+            start += p
+        mask[(start - o0) // 2 :: p] = False
+    out = np.flatnonzero(mask).astype(np.int64, copy=False)
+    out *= 2
+    out += o0
+    if lo <= 2 <= hi:
+        out = np.concatenate((np.array([2], dtype=np.int64), out))
+    return out
 
 
 def _segment_bounds(lo: int, hi: int, seg_len: int) -> list[tuple[int, int]]:

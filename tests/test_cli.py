@@ -157,6 +157,15 @@ class TestSmallCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["location"] == pytest.approx(10 * math.exp(10), rel=1e-9)
 
+    def test_predict_overflow_is_valid_json(self, capsys):
+        assert run("predict", "--q", "2", "--d", "10000000") == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["location"] is None and out["upper"] is None
+
     def test_probe(self, capsys):
         rc = run("probe", "--q", "2", "--x", "1e6,1e9,1e12")
         assert rc == EXIT_OK
@@ -179,6 +188,25 @@ class TestSmallCommands:
 
     def test_bad_window(self):
         assert run("fit", "--q", "6", "--window", "10") == EXIT_BAD_INPUT
+
+
+class TestBounds:
+    def test_x_max_parsed_exactly(self, capsys):
+        rc = run("scan", "--q", "6", "--r", "1", "--x-max", "1000000000000000001")
+        assert rc == EXIT_BUDGET
+        assert "1000000000000000001 numbers" in capsys.readouterr().err
+
+    def test_budget_parsed_exactly(self, tmp_path):
+        args = ("scan", "--q", "6", "--r", "1", "--x-max", "100", "--out", str(tmp_path))
+        assert run(*args, "--budget", "99") == EXIT_BUDGET
+        assert run(*args, "--budget", "1e2") == EXIT_OK
+        assert run(*args, "--budget", "100.000000000000000001") == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("text", ["1.5", "2.5e-1", "0", "-7", "nan", "inf", "1e400", "x"])
+    def test_non_integral_bounds_exit_2(self, text):
+        assert run("scan", "--q", "6", "--r", "1", "--x-max", text) == EXIT_BAD_INPUT
+        assert run("scan", "--q", "6", "--r", "1", "--x-max", "10",
+                   "--budget", text) == EXIT_BAD_INPUT
 
 
 class TestDeterminism:

@@ -3,22 +3,26 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgaps.numutil import log_integral, totient
 from apgaps.sieve import (
     MAX_SIEVE_BOUND,
     PrimeSegment,
     ResidueClass,
+    base_primes,
     count_all_primes,
     iter_class_segments,
     prime_count,
     primes_in_class,
     read_segment_cache,
     residue_counts,
+    sieve_interval,
     write_segment_cache,
 )
 
-from _oracles import trial_division_primes_in_class
+from _oracles import small_primes, trial_division_primes_in_class
 
 
 def collect(cls, lo, hi, **kw):
@@ -147,6 +151,72 @@ class TestSegmentCache:
         assert os.listdir(tmp_path)  # something was written
         cached_warm = collect(cls, 1, 10**6, cache_dir=str(tmp_path))
         assert plain == cached_cold == cached_warm
+
+
+SMALL_LIMIT = 30_000
+SMALL = small_primes(SMALL_LIMIT)
+DIVISORS = small_primes(10**5)  # enough to trial-divide any n <= 1e10
+
+# lo leans on the special starts 1, 2, 3; widths on 0, 1 and 2
+starts = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, SMALL_LIMIT // 2))
+widths = st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3_000))
+
+
+@st.composite
+def residue_classes(draw):
+    q = draw(st.integers(2, 60))
+    r = draw(st.sampled_from([r for r in range(1, q) if math.gcd(q, r) == 1]))
+    return ResidueClass(q, r)
+
+
+def trial_division(lo, hi):
+    cand = np.arange(lo, hi + 1, dtype=np.int64)
+    keep = cand >= 2
+    for p in DIVISORS:
+        if p * p > hi:
+            break
+        keep &= (cand % p != 0) | (cand == p)
+    return cand[keep].tolist()
+
+
+class TestDifferential:
+    """Odd-only sieve against trial division over random intervals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=starts, width=widths)
+    def test_sieve_interval_small(self, lo, width):
+        hi = lo + width
+        got = sieve_interval(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in SMALL if lo <= p <= hi]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.integers(1, 10**10 - 3_000), width=widths, with_base=st.booleans())
+    def test_sieve_interval_large(self, lo, width, with_base):
+        hi = lo + width
+        base = base_primes(math.isqrt(hi)) if with_base else None
+        assert sieve_interval(lo, hi, base).tolist() == trial_division(lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 1999))
+    def test_base_primes(self, n):
+        got = base_primes(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == small_primes(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cls=residue_classes(), lo=starts, width=widths,
+           seg_len=st.integers(2, 4_000), threads=st.integers(1, 3))
+    def test_iter_class_segments(self, cls, lo, width, seg_len, threads):
+        hi = lo + width
+        segs = list(iter_class_segments(cls, lo, hi, seg_len=seg_len, threads=threads))
+        assert segs[0].lo == lo and segs[-1].hi == hi
+        assert all(a.hi + 1 == b.lo for a, b in zip(segs, segs[1:]))
+        for seg in segs:
+            assert all(seg.lo <= p <= seg.hi for p in seg.primes.tolist())
+        got = [p for seg in segs for p in seg.primes.tolist()]
+        want = trial_division_primes_in_class(cls.q, cls.r, hi)
+        assert got == [p for p in want.tolist() if p >= lo]
 
 
 class TestSegmentType:
