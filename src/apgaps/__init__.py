@@ -41,7 +41,7 @@ from .gapscan import (
     scan_many,
     tau,
 )
-from .numutil import log_integral, totient, twin_prime_constant
+from .numutil import log_integral, log_integral_many, totient, twin_prime_constant
 from .sieve import PrimeSegment, ResidueClass, iter_prime_segments, primes_in_class
 from .trend import (
     TrendParams,
@@ -53,6 +53,7 @@ from .trend import (
     maximal_trend,
     predict_first_occurrence,
     rescale,
+    rescale_many,
 )
 
 __version__ = "0.1.0"
@@ -91,11 +92,13 @@ __all__ = [
     "ks_statistic",
     "latest_first_occurrence",
     "log_integral",
+    "log_integral_many",
     "maximal_trend",
     "mean_singular_product",
     "predict_first_occurrence",
     "primes_in_class",
     "rescale",
+    "rescale_many",
     "scan",
     "scan_many",
     "singular_product",

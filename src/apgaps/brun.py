@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sieve as sievemod
+from . import trend
 from .numutil import CONSTANTS, lcm2, log_integral, totient
 from .sieve import ResidueClass
 
@@ -257,19 +258,13 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
 def first_occurrence_heuristic(d: int, q: int) -> float:
     """Location heuristic e^t with t = (1/2) log d + sqrt(d / phi(q)).
 
-    Same formula as the trend module's predictor; it arises as the approximate
-    positive root of t^2 - t log d - d/phi(q) = 0 (set the estimate equal to
-    the 2/xi pair density and solve for log xi).
+    This is the trend module's predictor, restricted to d >= 2; it arises as
+    the approximate positive root of t^2 - t log d - d/phi(q) = 0 (set the
+    estimate equal to the 2/xi pair density and solve for log xi).
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    root = math.sqrt(d / totient(q))
-    t = 0.5 * math.log(d) + root
-    if root > 700.0 or t > 709.0:
-        return math.inf
-    return math.exp(t)
+    return trend.predict_first_occurrence(d, q)
 
 
 def first_occurrence_log_exact(d: int, q: int) -> float:

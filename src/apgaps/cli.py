@@ -64,6 +64,17 @@ def _parse_x(text: str) -> int:
     return int(val)
 
 
+def _parse_probe_x(text: str) -> float:
+    """A probe point: finite and above 2, where the baseline trend lives."""
+    try:
+        val = float(text)
+    except ValueError as exc:
+        raise UsageError(f"bad number {text!r}") from exc
+    if not (math.isfinite(val) and val > 2):
+        raise UsageError(f"probe needs finite x > 2, got {text!r}")
+    return val
+
+
 def _parse_r_set(text: str, q: int) -> list[int] | str:
     """Residue argument: 'all' / 'all-coprime', or comma list with a..b ranges."""
     text = text.strip()
@@ -174,17 +185,11 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def _write_trend_overlay(cfg: RunConfig, results, path: str) -> None:
     """T0, T_f and phi log^2 p sampled at event end primes (where defined)."""
-    params = _trend_params(cfg)
     phi = trend.totient(cfg.q)
     ends = sorted({ev.end_prime for res in results for ev in res.events})
     with open(path, "w", newline="") as fh:
         fh.write("p,t0,tf,phi_log2\n")
-        for p in ends:
-            try:
-                t0 = trend.baseline_trend(cfg.q, p)
-                tf = trend.fo_trend(cfg.q, p, params)
-            except ValueError:
-                continue  # trend undefined this early in the class
+        for p, t0, tf in trend.trend_points(cfg.q, ends, _trend_params(cfg)):
             fh.write(f"{p},{t0:.10g},{tf:.10g},{phi * math.log(p) ** 2:.10g}\n")
 
 
@@ -213,31 +218,32 @@ def cmd_fit(cfg: RunConfig) -> int:
         params = _trend_params(cfg)
         results = gapscan.scan_many(cfg.q, [c.r for c in classes], x_max,
                                     threads=cfg.threads)
-        picked = []  # (r, end_prime, u, is_maximal), merged in residue order
-        for c in classes:
-            res = results[c.r]
-            for ev in res.events:
-                if window_lo <= ev.end_prime <= window_hi:
-                    picked.append((c.r, ev.end_prime,
-                                   trend.rescale(ev, res.cls, params), ev.is_maximal))
-        picked.sort(key=lambda t: (t[0], t[1]))
-        u = np.array([t[2] for t in picked])
-        maximal_u = np.array([t[2] for t in picked if t[3]])
+        # (r, end_prime, size, is_maximal), merged in residue order
+        picked = sorted((c.r, ev.end_prime, ev.size, ev.is_maximal)
+                        for c in classes for ev in results[c.r].events
+                        if window_lo <= ev.end_prime <= window_hi)
+        u = trend.rescale_many(cfg.q, [t[1] for t in picked],
+                               [t[2] for t in picked], params)
+        maximal_u = u[np.array([t[3] for t in picked], dtype=bool)]
     if u.size < 10:
         raise ValueError(f"only {u.size} rescaled events in window: too few to fit")
     gfit = evstats.fit_gumbel(u)
     ks_max = None
     if maximal_u is not None and maximal_u.size >= 10:
         ks_max = evstats.fit_gumbel(maximal_u).ks
-    gev_shape = None
+    gev_shape = gev_error = None
     if u.size >= 50:
-        gev_shape = evstats.fit_gev(u).shape
+        try:
+            gev_shape = evstats.fit_gev(u).shape
+        except evstats.FitConvergenceError as exc:
+            gev_error = str(exc)  # the Gumbel fit stands on its own
     report = {
         "alpha": gfit.scale,
         "mu": gfit.mode,
         "ks_all": gfit.ks,
         "ks_maximal_only": ks_max,
         "gev_shape": gev_shape,
+        **({"gev_error": gev_error} if gev_error is not None else {}),
         "n_samples": int(u.size),
         "window": [window_lo, window_hi],
     }
@@ -494,7 +500,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError("d must be positive")
         cfg.extras["d"] = args.d
     if args.command == "probe":
-        cfg.extras["x_values"] = [float(s) for s in str(args.x).split(",") if s.strip()]
+        cfg.extras["x_values"] = [_parse_probe_x(s) for s in str(args.x).split(",")
+                                  if s.strip()]
         if not cfg.extras["x_values"]:
             raise UsageError("probe needs at least one x")
     return cfg

@@ -284,34 +284,6 @@ def check_record_bounds(result: ScanResult) -> list[tuple[str, int, int]]:
     return bad
 
 
-def lookahead_is_largest(result: ScanResult, event: GapEvent, eps: float = 0.1,
-                         *, threads: int = 1) -> bool:
-    """Diagnostic: is this gap the largest with end prime in [x, x + x/log^{1+eps} x]?
-
-    Purely exploratory; nothing in the package asserts this.
-    """
-    x = event.end_prime
-    hi = math.floor(x + x / math.log(x) ** (1.0 + eps))
-    last = event.start_prime
-    biggest = 0
-    for seg in sieve.iter_class_segments(result.cls, event.start_prime, hi, threads=threads):
-        sub = seg.primes
-        if not len(sub):
-            continue
-        gaps = np.diff(sub, prepend=last)
-        ends = sub
-        sel = ends >= x
-        if sel.any():
-            biggest = max(biggest, int(gaps[sel].max()))
-        last = int(sub[-1])
-    return event.size >= biggest
-
-
-def csg_series(result: ScanResult) -> list[tuple[int, float]]:
-    """Diagnostic series of (end_prime, csg) over the event list."""
-    return [(ev.end_prime, ev.csg) for ev in result.events]
-
-
 # ---------------------------------------------------------------------------
 # Export. One row per event: maximal events report their maximal index,
 # plain first occurrences their fo index.

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .numutil import lcm2, log_integral, totient
+import numpy as np
+
+from .numutil import lcm2, log_integral, log_integral_many, totient
 from .sieve import ResidueClass
 
 E = math.e
@@ -90,22 +92,44 @@ def default_params(q: int) -> TrendParams:
     )
 
 
-def avg_gap(q: int, x: float) -> float:
-    """Expected average gap a(q, x) = x phi(q) / li(x); needs x > 2."""
+def _check_domain(q: int, x: float) -> None:
     if q < 2:
         raise ValueError("q must be at least 2")
     if not x > 2:
         raise ValueError("avg_gap needs x > 2")
-    return x * totient(q) / log_integral(x)
+
+
+# The trend formulas proper, with li(x) passed in so batches can evaluate it
+# once for all points (numutil.log_integral_many).
+
+
+def _avg_gap(phi: int, x: float, li_x: float) -> float:
+    return x * phi / li_x
+
+
+def _baseline_trend(q: int, phi: int, x: float, li_x: float) -> float:
+    a = _avg_gap(phi, x, li_x)
+    ratio = li_x / a
+    if ratio <= 1.0:
+        raise ValueError(f"baseline trend undefined at q={q}, x={x}: li(x)/a <= 1")
+    return a * math.log(ratio)
+
+
+def _fo_trend(q: int, phi: int, x: float, li_x: float, params: TrendParams) -> float:
+    t0 = _baseline_trend(q, phi, x, li_x)
+    return t0 + (params.c0 - params.c1 * math.log(math.log(x))) * _avg_gap(phi, x, li_x)
+
+
+def avg_gap(q: int, x: float) -> float:
+    """Expected average gap a(q, x) = x phi(q) / li(x); needs x > 2."""
+    _check_domain(q, x)
+    return _avg_gap(totient(q), x, log_integral(x))
 
 
 def baseline_trend(q: int, x: float) -> float:
     """T0(q, x) = a log(li(x)/a); defined while li(x)/a > 1."""
-    a = avg_gap(q, x)
-    ratio = log_integral(x) / a
-    if ratio <= 1.0:
-        raise ValueError(f"baseline trend undefined at q={q}, x={x}: li(x)/a <= 1")
-    return a * math.log(ratio)
+    _check_domain(q, x)
+    return _baseline_trend(q, totient(q), x, log_integral(x))
 
 
 def baseline_trend_expanded(q: int, x: float) -> float:
@@ -139,14 +163,61 @@ def fo_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
         raise ValueError("fo_trend needs x > e")
     if params is None:
         params = default_params(q)
-    t0 = baseline_trend(q, x)
-    return t0 + (params.c0 - params.c1 * math.log(math.log(x))) * avg_gap(q, x)
+    return _fo_trend(q, totient(q), x, log_integral(x), params)
 
 
 def rescale(event, cls: ResidueClass, params: Optional[TrendParams] = None) -> float:
-    """Reduce a gap event to u = (d - T_f(q, x)) / a(q, x) at x = end prime."""
-    x = event.end_prime
-    return (event.size - fo_trend(cls.q, x, params)) / avg_gap(cls.q, x)
+    """Reduce a gap event to u = (d - T_f(q, x)) / a(q, x) at x = end prime.
+
+    One event; rescale_many does a whole sample with li(x) batched and gives
+    the same bits.
+    """
+    return float(rescale_many(cls.q, [event.end_prime], [event.size], params)[0])
+
+
+def rescale_many(q: int, end_primes: Sequence[int], sizes: Sequence[int],
+                 params: Optional[TrendParams] = None) -> np.ndarray:
+    """u = (d - T_f(q, x)) / a(q, x) for each gap d ending at prime x.
+
+    li(x) is evaluated for all end primes in one vectorized pass; entry i is
+    bit-identical to rescale on that event alone.
+    """
+    if len(end_primes) != len(sizes):
+        raise ValueError("need one size per end prime")
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    for x in end_primes:
+        if not x > E:
+            raise ValueError("fo_trend needs x > e")
+    if params is None:
+        params = default_params(q)
+    phi = totient(q)
+    li = log_integral_many(end_primes).tolist()
+    return np.array([(d - _fo_trend(q, phi, x, li_x, params)) / _avg_gap(phi, x, li_x)
+                     for x, d, li_x in zip(end_primes, sizes, li)], dtype=np.float64)
+
+
+def trend_points(q: int, xs: Sequence[int],
+                 params: Optional[TrendParams] = None) -> list[tuple[int, float, float]]:
+    """(x, T0(q, x), T_f(q, x)) for each x > e where the trends are defined.
+
+    li(x) is evaluated for all points in one vectorized pass; points where
+    li(x)/a <= 1 are left out.
+    """
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    if params is None:
+        params = default_params(q)
+    phi = totient(q)
+    xs = [x for x in xs if x > E]
+    out = []
+    for x, li_x in zip(xs, log_integral_many(xs).tolist()):
+        try:
+            out.append((x, _baseline_trend(q, phi, x, li_x),
+                        _fo_trend(q, phi, x, li_x, params)))
+        except ValueError:
+            continue  # trend undefined this early
+    return out
 
 
 def predict_first_occurrence(d: float, q: int) -> float:

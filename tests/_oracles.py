@@ -124,3 +124,44 @@ def singular_product_direct(d: int) -> float:
     if m > 2:
         out *= (m - 1) / (m - 2)
     return out
+
+
+_GL32 = np.polynomial.legendre.leggauss(32)
+
+
+def scalar_li(x: float) -> float:
+    """li(x) by the package's quadrature rule, one point at a time.
+
+    This is deliberately the same rule as numutil.log_integral_many (li(2)
+    plus 32-point Gauss-Legendre on 8, 16, ... geometric or linear panels,
+    stopped at relative change 1e-13), written as the plain scalar loop it
+    was before li was batched. The batch must give these exact bits.
+    """
+    nodes, weights = _GL32
+
+    def quad(a: float, b: float, geometric: bool) -> float:
+        panels, prev = 8, math.inf
+        for _ in range(12):
+            space = np.geomspace if geometric else np.linspace
+            edges = space(a, b, panels + 1)
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            t = mid[:, None] + half[:, None] * nodes
+            val = float(np.sum(half[:, None] * (weights / np.log(t))))
+            if abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
+                return val
+            prev = val
+            panels *= 2
+        return prev
+
+    li2 = 1.0451637801174927848
+    x = float(x)
+    if x == 0.0:
+        return 0.0
+    if x == 2.0:
+        return li2
+    if x < 1.0:
+        return quad(0.0, x, geometric=False)
+    if x < 2.0:
+        return li2 - quad(x, 2.0, geometric=True)
+    return li2 + quad(2.0, x, geometric=True)

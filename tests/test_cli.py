@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from apgaps import evstats, trend
 from apgaps.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -95,6 +97,37 @@ class TestFitCommand:
         assert (tmp_path / "hist_q2.csv").exists()
         assert (tmp_path / "pdf_q2.csv").exists()
 
+    def test_gev_failure_keeps_gumbel_fit(self, tmp_path, monkeypatch):
+        u = gumbel_samples(np.random.default_rng(7), 500, 1.0, 0.0)
+        path = tmp_path / "u.csv"
+        path.write_text("u\n" + "\n".join(repr(float(v)) for v in u) + "\n")
+        args = ("fit", "--q", "2", "--samples-csv", str(path), "--out", str(tmp_path))
+        assert run(*args) == EXIT_OK
+        ok = json.loads((tmp_path / "fit_q2.json").read_text())
+        assert "gev_error" not in ok
+
+        def fail(samples, *a, **kw):
+            raise evstats.FitConvergenceError("GEV optimization failed: test")
+
+        monkeypatch.setattr(evstats, "fit_gev", fail)
+        assert run(*args) == EXIT_OK
+        report = json.loads((tmp_path / "fit_q2.json").read_text())
+        assert report["gev_shape"] is None
+        assert report["gev_error"] == "GEV optimization failed: test"
+        assert (report["alpha"], report["mu"]) == (ok["alpha"], ok["mu"])
+
+    def test_scanned_fit_matches_library(self, tmp_path, capsys):
+        rc = run("fit", "--q", "6", "--r", "all", "--window", "1e3:1e6",
+                 "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        results = {c: scan(ResidueClass(6, c), 10**6) for c in (1, 5)}
+        want = np.array([trend.rescale(ev, results[c].cls)
+                         for c in (1, 5) for ev in results[c].events
+                         if 10**3 <= ev.end_prime <= 10**6])
+        got = json.loads((tmp_path / "fit_q6.json").read_text())
+        fit = evstats.fit_gumbel(want)
+        assert (got["alpha"], got["mu"], got["n_samples"]) == (fit.scale, fit.mode, want.size)
+
     def test_too_few_events_exit_4(self, tmp_path):
         rc = run("fit", "--q", "6", "--r", "5", "--x-max", "50",
                  "--window", "1:50", "--out", str(tmp_path))
@@ -183,6 +216,14 @@ class TestSmallCommands:
         sums = [float(r["partial_sum"]) for r in rows]
         assert sums == sorted(sums)
 
+    @pytest.mark.parametrize("x", ["inf", "nan", "0", "2"])
+    def test_probe_rejects_bad_x(self, x, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("probe", "--q", "2", "--x", f"1e6,{x}") == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and "x > 2" in captured.err
+
     def test_q_too_small(self):
         assert run("probe", "--q", "1") == EXIT_BAD_INPUT
 
@@ -220,6 +261,21 @@ class TestDeterminism:
                      "events_q211_r3.csv", "events_q211_merged.csv",
                      "trend_q211.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_trend_overlay_matches_scalar_trends(self, tmp_path):
+        assert run("scan", "--q", "211", "--r", "1..4", "--x-max", "1e6",
+                   "--out", str(tmp_path)) == EXIT_OK
+        ends = sorted({ev.end_prime for r in range(1, 5)
+                       for ev in scan(ResidueClass(211, r), 10**6).events})
+        want = ["p,t0,tf,phi_log2"]
+        for p in ends:
+            try:
+                t0, tf = trend.baseline_trend(211, p), trend.fo_trend(211, p)
+            except ValueError:
+                continue
+            want.append(f"{p},{t0:.10g},{tf:.10g},{210 * math.log(p) ** 2:.10g}")
+        assert 1 < len(want) < len(ends) + 1
+        assert (tmp_path / "trend_q211.csv").read_text().splitlines() == want
 
     def test_repeat_run_identical(self, tmp_path):
         a, b = tmp_path / "first", tmp_path / "second"

@@ -2,16 +2,23 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apgaps import numutil
 from apgaps.numutil import (
     CONSTANTS,
     LI_AT_2,
     lcm2,
     log_integral,
+    log_integral_many,
     totient,
     twin_prime_constant,
 )
+
+from _oracles import scalar_li
 
 
 def mp_li(x: float) -> float:
@@ -72,6 +79,11 @@ class TestLogIntegral:
         with pytest.raises(ValueError):
             log_integral(1.0)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_and_negative(self, x):
+        with pytest.raises(ValueError):
+            log_integral(x)
+
     @pytest.mark.parametrize("x", [3.0, 10.0, 100.0, 1e4, 1e6, 1e8, 1e10, 1e12, 1e14])
     def test_against_mpmath(self, x):
         assert log_integral(x) == pytest.approx(mp_li(x), rel=1e-10)
@@ -89,6 +101,73 @@ class TestLogIntegral:
         for x in (1e4, 1e6, 1e9, 1e12):
             ratio = log_integral(x) / (x / math.log(x))
             assert 0.9 < ratio < 1.2
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k steps above x (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def assert_batch_exact(xs):
+    got = log_integral_many(xs)
+    assert got.shape == (len(xs),)
+    assert got.tolist() == [scalar_li(x) for x in xs]
+    assert got.tolist() == [log_integral(x) for x in xs]
+
+
+# points from each branch of li: [0, 1), (1, 2) and [2, 2^64]
+li_domain = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+    st.floats(min_value=2.0, max_value=2.0**64),
+)
+
+
+# quadrature nodes next to t = 1 round onto it for x one ulp from 1
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+class TestLogIntegralMany:
+    def test_near_two(self):
+        xs = [ulps_from(2.0, k) for k in (-40, -3, -2, -1, 1, 2, 3, 40)]
+        assert_batch_exact(xs + [2.0, 2.5, 3.0])
+
+    def test_near_one_and_zero(self):
+        # 5e-324 spaces its panels by another formula than the other
+        # subnormals, which would change their bits if all shared one call
+        xs = [5e-324, 9.44143638583e-313, 3.2094997e-316, 1.3413081e-316, 1e-300,
+              0.25, ulps_from(1.0, -1), ulps_from(1.0, 1), 1.5, 0.0]
+        assert_batch_exact(xs)
+
+    def test_int64_extremes(self):
+        assert_batch_exact([3, 2**53 + 1, 2**62, 2**63 - 1, 10**18 + 9])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=3, max_value=2**63 - 1), max_size=30))
+    def test_integers_exact(self, xs):
+        assert_batch_exact(xs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(li_domain, max_size=20))
+    def test_mixed_magnitudes_exact(self, xs):
+        assert_batch_exact(xs)
+
+    def test_many_chunks_exact(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        xs = np.concatenate([rng.uniform(2.0, 1e4, 40), np.exp(rng.uniform(1.0, 43.0, 60)),
+                             rng.uniform(0.0, 1.0, 10), rng.uniform(1.0, 2.0, 10)])
+        want = [scalar_li(x) for x in xs]
+        # three integrals per chunk at the first level, one from the second on
+        monkeypatch.setattr(numutil, "_CHUNK_NODES", 3 * 8 * 32)
+        assert log_integral_many(xs).tolist() == want
+
+    def test_empty(self):
+        assert log_integral_many([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5, 1.0])
+    def test_rejects_bad_point(self, bad):
+        with pytest.raises(ValueError):
+            log_integral_many([10.0, bad])
 
 
 class TestTwinPrimeConstant:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apgaps.gapscan import GapEvent, scan
+from apgaps.gapscan import GapEvent, scan, scan_many
 from apgaps.numutil import log_integral, totient
 from apgaps.sieve import ResidueClass
 from apgaps.trend import (
@@ -20,6 +20,8 @@ from apgaps.trend import (
     maximal_trend,
     predict_first_occurrence,
     rescale,
+    rescale_many,
+    trend_points,
 )
 
 E_HALF_INV = math.exp(-0.5)
@@ -190,6 +192,60 @@ class TestRescale:
              if 10**7 <= ev.end_prime <= 10**9]
         med = float(np.median(np.asarray(u)))
         assert -1.0 <= med <= 2.0
+
+
+@pytest.fixture(scope="module")
+def events211():
+    """(r, event) for every event mod 211 ending in [1e5, 1e6]."""
+    results = scan_many(211, list(range(1, 211)), 10**6)
+    return [(r, ev) for r in range(1, 211) for ev in results[r].events
+            if 10**5 <= ev.end_prime]
+
+
+class TestRescaleMany:
+    def test_equals_rescale_exactly(self, events211):
+        p = default_params(211)
+        u = rescale_many(211, [ev.end_prime for _, ev in events211],
+                         [ev.size for _, ev in events211], p)
+        assert len(events211) > 1000
+        assert u.tolist() == [rescale(ev, ResidueClass(211, r), p)
+                              for r, ev in events211]
+
+    def test_equals_scalar_trend_formula(self, events211):
+        # the definition rescale had before li was batched
+        for q, params in ((211, default_params(211)), (211, None),
+                          (2, TrendParams(b1=0.0, b2=2.7, c0=2.5, c1=1.2))):
+            picked = [ev for _, ev in events211[::50]]
+            u = rescale_many(q, [ev.end_prime for ev in picked],
+                             [ev.size for ev in picked], params)
+            assert u.tolist() == [
+                (ev.size - fo_trend(q, ev.end_prime, params)) / avg_gap(q, ev.end_prime)
+                for ev in picked]
+
+    def test_empty(self):
+        assert rescale_many(211, [], []).shape == (0,)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            rescale_many(2, [101, 2], [2, 2])  # x <= e
+        with pytest.raises(ValueError):
+            rescale_many(10**5, [10**6, 1009], [2, 2])  # li(x)/a <= 1
+        with pytest.raises(ValueError):
+            rescale_many(211, [10**6], [2, 4])
+
+
+class TestTrendPoints:
+    def test_matches_scalar_trends_and_skips_undefined(self):
+        p = default_params(211)
+        xs = [2, 3, 1009, 10007, 10**5 + 3, 10**6 + 3, 10**9 + 7]
+        want = []
+        for x in xs:
+            try:
+                want.append((x, baseline_trend(211, x), fo_trend(211, x, p)))
+            except ValueError:
+                continue
+        assert 0 < len(want) < len(xs)
+        assert trend_points(211, xs, p) == want
 
 
 class TestTrendRatios:
