@@ -391,7 +391,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_r: bool = True) -> None:
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--seed", type=int, default=0,
-                     help="seed reserved for sampling operations")
+                     help="unused: nothing is randomized and the seed is not recorded")
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--budget", default=str(DEFAULT_BUDGET),
                      help="max numbers sieved per run (default 1e10)")

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 class FitConvergenceError(RuntimeError):
@@ -191,23 +190,83 @@ def _gev_nll(params: np.ndarray, u: np.ndarray) -> float:
                                        + np.exp(-logw / xi).sum())
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int,
+                 tol: float) -> tuple[np.ndarray, bool]:
+    """Minimize f from x0 by the Nelder-Mead simplex; returns (x, converged).
+
+    A step-for-step copy of scipy.optimize.minimize(method="Nelder-Mead")
+    with options maxiter=max_iter, xatol=fatol=tol: the same numpy
+    operations in the same order, so the iterates match scipy's bit for bit.
+    Coefficients are the non-adaptive reflect 1, expand 2, contract 0.5 and
+    shrink 0.5; the initial simplex moves each coordinate by 5% (0.00025
+    where it is 0). The iteration count starts at 1, and reaching max_iter
+    before both tolerances hold means failure.
+    """
+    n = x0.size
+    sim = np.empty((n + 1, n), dtype=np.float64)
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim], dtype=np.float64)
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < max_iter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= tol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], iterations < max_iter
+
+
 def fit_gev(samples: Sequence[float], *, max_iter: int = 2000) -> GevFit:
-    """Maximum-likelihood GEV fit, started from the Gumbel fit with shape 0."""
+    """Maximum-likelihood GEV fit, started from the Gumbel fit with shape 0.
+
+    The likelihood is minimized by the in-package ``_nelder_mead``, which
+    matches scipy's Nelder-Mead (xatol = fatol = 1e-9) bit for bit without
+    importing scipy.optimize.
+    """
     u = np.asarray(samples, dtype=np.float64)
     if u.size < 50:
         raise ValueError("GEV fit needs at least 50 samples")
     alpha, mode = _gumbel_mle(u, 200, 1e-12)
-    res = minimize(
-        _gev_nll,
-        x0=np.array([alpha, mode, 0.0]),
-        args=(u,),
-        method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-9},
-    )
-    if not res.success:
-        raise FitConvergenceError(f"GEV optimization failed: {res.message}",
-                                  scale=float(res.x[0]), mode=float(res.x[1]))
-    sigma, mu, xi = (float(v) for v in res.x)
+    best, converged = _nelder_mead(lambda p: _gev_nll(p, u),
+                                   np.array([alpha, mode, 0.0]), max_iter, 1e-9)
+    if not converged:
+        raise FitConvergenceError(
+            "GEV optimization failed: Maximum number of iterations has been exceeded.",
+            scale=float(best[0]), mode=float(best[1]))
+    sigma, mu, xi = (float(v) for v in best)
     shape = round(xi, 3)
     ks = ks_statistic(u, lambda x: gev_cdf(x, sigma, mu, shape))
     return GevFit(scale=sigma, location=mu, shape=shape, ks=ks)

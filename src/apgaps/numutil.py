@@ -1,7 +1,7 @@
 """Shared numeric primitives: totient, lcm(2,q), li(x), twin prime constant.
 
-Everything else in the package leans on these; keep the module free of
-intra-package imports.
+Everything else in the package leans on these; the only intra-package
+import is ``sieve.base_primes``, and sieve imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .sieve import base_primes
 
 # li(2): the logarithmic integral carries its principal-value singularity at
 # t = 1 inside this constant, so quadrature never has to straddle it.
@@ -164,19 +166,6 @@ def log_integral(x: float) -> float:
     return float(log_integral_many([float(x)])[0])
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    # local monolithic sieve; the sieve module has its own (keeps this module
-    # dependency-free)
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def twin_prime_constant(prime_cutoff: int) -> float:
     """Truncated product of p(p-2)/(p-1)^2 over odd primes p <= prime_cutoff.
 
@@ -184,5 +173,5 @@ def twin_prime_constant(prime_cutoff: int) -> float:
     """
     if prime_cutoff < 3:
         raise ValueError("cutoff must admit at least the prime 3")
-    p = _primes_upto(prime_cutoff)[1:].astype(np.float64)  # drop p = 2
+    p = base_primes(prime_cutoff)[1:].astype(np.float64)  # drop p = 2
     return float(np.prod(p * (p - 2.0) / (p - 1.0) ** 2))

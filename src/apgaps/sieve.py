@@ -12,8 +12,6 @@ residues of the same modulus from one pass anyway.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,13 +156,8 @@ def iter_class_segments(
     *,
     seg_len: int = DEFAULT_SEGMENT_LENGTH,
     threads: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> Iterator[PrimeSegment]:
     """Stream segments holding only primes p ≡ r (mod q), p in [lo, hi]."""
-    if cache_dir is not None:
-        yield from _iter_class_segments_cached(cls, lo, hi, seg_len=seg_len,
-                                               threads=threads, cache_dir=cache_dir)
-        return
     for seg in iter_prime_segments(lo, hi, seg_len=seg_len, threads=threads):
         pr = seg.primes
         yield PrimeSegment(seg.lo, seg.hi, pr[pr % cls.q == cls.r])
@@ -177,11 +170,9 @@ def primes_in_class(
     *,
     seg_len: int = DEFAULT_SEGMENT_LENGTH,
     threads: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> Iterator[int]:
     """Ordered stream of primes in the class, as Python ints."""
-    for seg in iter_class_segments(cls, lo, hi, seg_len=seg_len, threads=threads,
-                                   cache_dir=cache_dir):
+    for seg in iter_class_segments(cls, lo, hi, seg_len=seg_len, threads=threads):
         for p in seg.primes.tolist():
             yield p
 
@@ -212,110 +203,3 @@ def residue_counts(q: int, x: int, *, threads: int = 1) -> np.ndarray:
         if len(seg.primes):
             counts += np.bincount(seg.primes % q, minlength=q)
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Optional binary segment cache.
-#
-# Layout: 8-byte magic, then version, q, lo, hi, count as little-endian
-# unsigned 64-bit words, then the primes delta-encoded as LEB128 varints
-# (first delta is taken from lo). Purely an optimization: results are
-# identical with the cache disabled.
-
-CACHE_MAGIC = b"APGSIEVE"
-CACHE_VERSION = 1
-
-
-def _encode_varint(value: int, out: bytearray) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _decode_varints(buf: bytes, count: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.int64)
-    pos = 0
-    for i in range(count):
-        shift = 0
-        acc = 0
-        while True:
-            byte = buf[pos]
-            pos += 1
-            acc |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values[i] = acc
-    if pos != len(buf):
-        raise ValueError("trailing bytes in cache payload")
-    return values
-
-
-def write_segment_cache(path: str, q: int, lo: int, hi: int, primes: np.ndarray) -> None:
-    """Persist one sieved segment; see the format note above."""
-    primes = np.asarray(primes, dtype=np.int64)
-    payload = bytearray()
-    prev = lo
-    for p in primes.tolist():
-        _encode_varint(p - prev, payload)
-        prev = p
-    header = CACHE_MAGIC + struct.pack("<QQQQQ", CACHE_VERSION, q, lo, hi, len(primes))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-    os.replace(tmp, path)
-
-
-def read_segment_cache(path: str) -> tuple[int, int, int, np.ndarray]:
-    """Load a cached segment, returning (q, lo, hi, primes)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a segment cache file")
-    version, q, lo, hi, count = struct.unpack("<QQQQQ", raw[8:48])
-    if version != CACHE_VERSION:
-        raise ValueError(f"{path}: unsupported cache version {version}")
-    deltas = _decode_varints(raw[48:], count)
-    primes = np.cumsum(deltas) + lo if count else np.empty(0, dtype=np.int64)
-    return q, lo, hi, primes.astype(np.int64)
-
-
-def _iter_class_segments_cached(
-    cls: ResidueClass,
-    lo: int,
-    hi: int,
-    *,
-    seg_len: int,
-    threads: int,
-    cache_dir: str,
-) -> Iterator[PrimeSegment]:
-    os.makedirs(cache_dir, exist_ok=True)
-    bounds = _segment_bounds(lo, hi, seg_len)
-    missing = []
-    for a, b in bounds:
-        if not os.path.exists(_cache_path(cache_dir, cls, a, b)):
-            missing.append((a, b))
-    if missing:
-        # one sieving pass fills every hole; holes are contiguous in practice
-        todo = set(missing)
-        base = base_primes(math.isqrt(hi))
-        for a, b in bounds:
-            if (a, b) in todo:
-                pr = sieve_interval(a, b, base)
-                pr = pr[pr % cls.q == cls.r]
-                write_segment_cache(_cache_path(cache_dir, cls, a, b), cls.q, a, b, pr)
-    for a, b in bounds:
-        q, clo, chi, primes = read_segment_cache(_cache_path(cache_dir, cls, a, b))
-        if (q, clo, chi) != (cls.q, a, b):
-            raise ValueError("cache header does not match requested segment")
-        yield PrimeSegment(a, b, primes)
-
-
-def _cache_path(cache_dir: str, cls: ResidueClass, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"q{cls.q}_r{cls.r}_{lo}_{hi}.seg")

@@ -1,7 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,3 +287,43 @@ class TestDeterminism:
         for out in (a, b):
             run("counts", "--q", "6", "--j-max", "8", "--out", str(out))
         assert (a / "counts_q6.csv").read_bytes() == (b / "counts_q6.csv").read_bytes()
+
+
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    from apgaps import cli
+    after_import = scipy_modules()
+    out = sys.argv[1]
+    runs = [
+        ["scan", "--q", "6", "--r", "1", "--x-max", "1e5", "--out", out],
+        ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e5", "--out", out],
+        ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e6", "--out", out],
+    ]
+    codes = []
+    for argv in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            codes.append(cli.main(argv))
+    fit = json.loads(buf.getvalue())
+    print(json.dumps({"codes": codes, "after_import": after_import,
+                      "after_runs": scipy_modules(), "n_samples": fit["n_samples"],
+                      "gev_shape": fit["gev_shape"]}))
+""")
+
+
+class TestImports:
+    def test_pipeline_commands_load_no_scipy(self, tmp_path):
+        # scan, brun and a fit that reaches fit_gev, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["codes"] == [EXIT_OK] * 3
+        assert got["n_samples"] >= 50 and got["gev_shape"] is not None
+        assert got["after_import"] == []
+        assert got["after_runs"] == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from apgaps import evstats
 from apgaps.evstats import (
     FitConvergenceError,
     build_histogram,
@@ -119,6 +120,65 @@ class TestGevFit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_gev(list(range(49)))
+
+
+_SAMPLERS = {
+    "gumbel": lambda rng, n: gumbel_samples(rng, n, 1.0, 0.0),
+    "negexp": lambda rng, n: -rng.exponential(size=n),
+    "normal": lambda rng, n: rng.normal(size=n),
+    "t3": lambda rng, n: rng.standard_t(3, size=n),
+}
+
+# (sampler, n, seed, max_iter); the small max_iter cases stop before converging
+_NM_CASES = [
+    ("gumbel", 50, 1, 2000), ("gumbel", 1000, 2, 2000), ("gumbel", 20000, 3, 2000),
+    ("negexp", 60, 4, 2000), ("negexp", 2000, 5, 2000),
+    ("normal", 80, 6, 2000), ("normal", 3000, 7, 2000),
+    ("t3", 50, 0, 2000), ("t3", 200, 0, 2000), ("t3", 1000, 0, 2000),
+    ("gumbel", 500, 8, 30), ("negexp", 500, 9, 12), ("t3", 200, 0, 15),
+]
+
+
+class TestNelderMeadMatchesScipy:
+    """The in-package simplex against scipy's, which serves as the oracle."""
+
+    @staticmethod
+    def _scipy(u, x0, max_iter):
+        from scipy.optimize import minimize
+
+        return minimize(evstats._gev_nll, x0=x0, args=(u,), method="Nelder-Mead",
+                        options={"maxiter": max_iter, "xatol": 1e-9, "fatol": 1e-9})
+
+    @pytest.mark.parametrize("name,n,seed,max_iter", _NM_CASES)
+    def test_bit_identical(self, name, n, seed, max_iter):
+        u = _SAMPLERS[name](np.random.default_rng(seed), n)
+        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)  # fit_gev's start
+        x0 = np.array([alpha, mode, 0.0])
+        res = self._scipy(u, x0, max_iter)
+        x, converged = evstats._nelder_mead(lambda p: evstats._gev_nll(p, u), x0,
+                                            max_iter, 1e-9)
+        assert np.array_equal(x, res.x)
+        assert converged == res.success
+        assert converged == (max_iter == 2000)
+
+    @pytest.mark.parametrize("name,n,seed,max_iter",
+                             [c for c in _NM_CASES if c[3] < 2000])
+    def test_failure_message_is_scipys(self, name, n, seed, max_iter):
+        u = _SAMPLERS[name](np.random.default_rng(seed), n)
+        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)
+        res = self._scipy(u, np.array([alpha, mode, 0.0]), max_iter)
+        with pytest.raises(FitConvergenceError) as info:
+            fit_gev(u, max_iter=max_iter)
+        assert str(info.value) == "GEV optimization failed: " + res.message
+        assert (info.value.scale, info.value.mode) == (res.x[0], res.x[1])
+
+    def test_fit_gev_uses_scipys_optimum(self):
+        u = gumbel_samples(np.random.default_rng(31), 4000, 1.3, 0.2)
+        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)
+        res = self._scipy(u, np.array([alpha, mode, 0.0]), 2000)
+        fit = fit_gev(u)
+        assert (fit.scale, fit.location, fit.shape) == (
+            float(res.x[0]), float(res.x[1]), round(float(res.x[2]), 3))
 
 
 class TestKsStatistic:

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,10 +15,8 @@ from apgaps.sieve import (
     iter_class_segments,
     prime_count,
     primes_in_class,
-    read_segment_cache,
     residue_counts,
     sieve_interval,
-    write_segment_cache,
 )
 
 from _oracles import small_primes, trial_division_primes_in_class
@@ -119,38 +116,6 @@ class TestPrimeCount:
         expect = log_integral(x) / totient(211)
         for r in range(1, 211):
             assert abs(counts[r] - expect) / expect < 0.05
-
-
-class TestSegmentCache:
-    def test_round_trip(self, tmp_path):
-        cls = ResidueClass(6, 5)
-        path = tmp_path / "probe.seg"
-        for seg in iter_class_segments(cls, 1, 10**5, seg_len=2**14):
-            write_segment_cache(str(path), cls.q, seg.lo, seg.hi, seg.primes)
-            q, lo, hi, primes = read_segment_cache(str(path))
-            assert (q, lo, hi) == (cls.q, seg.lo, seg.hi)
-            assert np.array_equal(primes, seg.primes)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "probe.seg"
-        path.write_bytes(b"NOTACACHEFILE---")
-        with pytest.raises(ValueError):
-            read_segment_cache(str(path))
-
-    def test_empty_segment_round_trip(self, tmp_path):
-        path = tmp_path / "empty.seg"
-        write_segment_cache(str(path), 6, 24, 28, np.empty(0, dtype=np.int64))
-        q, lo, hi, primes = read_segment_cache(str(path))
-        assert (q, lo, hi) == (6, 24, 28)
-        assert primes.size == 0
-
-    def test_cache_transparent(self, tmp_path):
-        cls = ResidueClass(211, 1)
-        plain = collect(cls, 1, 10**6)
-        cached_cold = collect(cls, 1, 10**6, cache_dir=str(tmp_path))
-        assert os.listdir(tmp_path)  # something was written
-        cached_warm = collect(cls, 1, 10**6, cache_dir=str(tmp_path))
-        assert plain == cached_cold == cached_warm
 
 
 SMALL_LIMIT = 30_000
