@@ -34,9 +34,7 @@ from .gapscan import (
     GapEvent,
     ScanResult,
     gap_size_counts,
-    interval_record_counts,
     interval_record_table,
-    latest_first_occurrence,
     scan,
     scan_many,
     tau,
@@ -85,12 +83,10 @@ __all__ = [
     "fo_trend",
     "gap_size_counts",
     "gumbel_cdf",
-    "interval_record_counts",
     "interval_record_table",
     "inverse_limit_probe",
     "iter_prime_segments",
     "ks_statistic",
-    "latest_first_occurrence",
     "log_integral",
     "log_integral_many",
     "maximal_trend",

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import sieve as sievemod
 from . import trend
+from .gapscan import _class_pairs
 from .numutil import CONSTANTS, lcm2, log_integral, totient
-from .sieve import ResidueClass
+from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
 
 
 @dataclass(frozen=True)
@@ -159,25 +160,9 @@ def brun_growth(
     hi = xs[-1]
     starts_parts = []
     ends_parts = []
-    last: Optional[int] = None
-    for seg in sievemod.iter_class_segments(cls, 1, hi, threads=threads):
-        sub = seg.primes
-        if not len(sub):
-            continue
-        if last is None:
-            if len(sub) < 2:
-                last = int(sub[-1])
-                continue
-            gaps = np.diff(sub)
-            st, en = sub[:-1], sub[1:]
-        else:
-            gaps = np.diff(sub, prepend=last)
-            st = np.empty_like(sub)
-            st[0] = last
-            st[1:] = sub[:-1]
-            en = sub
-        last = int(sub[-1])
-        sel = gaps == d
+    for _, st, en in _class_pairs(cls.q, [cls.r], hi, threads=threads,
+                                  seg_len=DEFAULT_SEGMENT_LENGTH):
+        sel = en - st == d
         if sel.any():
             starts_parts.append(st[sel])
             ends_parts.append(en[sel])

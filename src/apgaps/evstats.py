@@ -130,23 +130,31 @@ def _gumbel_mle(u: np.ndarray, max_iter: int, rel_tol: float) -> tuple[float, fl
     if not alpha > 0.0:
         raise FitConvergenceError("degenerate sample: zero spread", scale=alpha)
     shift = float(u.min())
-    converged = False
+
+    def fixed_point(a: float) -> float:
+        w = np.exp(-(u - shift) / a)  # shift cancels in the weighted mean
+        return mean - float((u * w).sum() / w.sum())
+
     for _ in range(max_iter):
-        w = np.exp(-(u - shift) / alpha)  # shift cancels in the weighted mean
-        g = mean - float((u * w).sum() / w.sum())
+        g = fixed_point(alpha)
         new = 0.5 * (alpha + g) if g > 0.0 else 0.5 * alpha
         done = abs(new - alpha) <= rel_tol * abs(new)
         alpha = new
         if done:
-            converged = True
             break
-    mode = _gumbel_mode(u, alpha)
-    if not converged:
-        raise FitConvergenceError(
-            f"Gumbel scale iteration did not converge in {max_iter} steps",
-            scale=alpha, mode=mode,
-        )
-    return alpha, mode
+    else:
+        # Heavy tails can trap the damped step in a 2-cycle. The score
+        # fixed_point(a) - a falls strictly in a, from mean - min at 0+ to
+        # below 0 at a = mean - min, so bisect it there (Coles 2001).
+        lo, hi = 0.0, mean - shift
+        alpha = 0.5 * hi
+        while lo < alpha < hi and hi - lo > rel_tol * hi:
+            if fixed_point(alpha) > alpha:
+                lo = alpha
+            else:
+                hi = alpha
+            alpha = 0.5 * (lo + hi)
+    return alpha, _gumbel_mode(u, alpha)
 
 
 def _gumbel_mode(u: np.ndarray, alpha: float) -> float:
@@ -162,7 +170,8 @@ def fit_gumbel(samples: Sequence[float], *, max_iter: int = 200,
 
     The scale solves alpha = mean(u) - sum(u_i e^{-u_i/alpha}) / sum(e^{-u_i/alpha})
     by damped fixed-point iteration seeded at the moment estimate
-    stdev * sqrt(6) / pi; the mode follows in closed form.
+    stdev * sqrt(6) / pi, or by bisection of that equation when max_iter
+    steps do not settle; the mode follows in closed form.
     """
     u = np.asarray(samples, dtype=np.float64)
     if u.size < 10:

@@ -4,7 +4,15 @@ A gap event is the pair of consecutive class primes (p, p') bounding a gap
 d = p' - p that is maximal (strictly larger than every earlier gap) or a
 first occurrence (no earlier gap of exactly that size). Every maximal gap is
 also a first occurrence, so the event list holds first occurrences with a
-maximal flag. Memory stays proportional to the number of distinct gap sizes.
+maximal flag.
+
+All requested classes come from one pass of the segment sieve, turned into
+one stream of consecutive class-prime pairs. New gap sizes are found by one
+gather per batch of pairs from a boolean seen table with a row per class and
+a column per gap d / lcm(2, q). Its width doubles whenever a wider gap
+appears, so it stays small: for q = 211 up to 1e9 the widest gap, 66,254,
+is column 157. Only the few pairs not yet in the table reach the Python
+event loop.
 """
 
 from __future__ import annotations
@@ -14,12 +22,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import sieve
-from .numutil import totient
+from .numutil import lcm2, totient
 from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
 
 
@@ -48,62 +56,70 @@ class ScanResult:
     n_first_occurrence: int
 
 
-class _ClassState:
-    __slots__ = ("last", "seen", "running_max", "events", "n_max")
-
-    def __init__(self) -> None:
-        self.last: Optional[int] = None
-        self.seen: set[int] = set()
-        self.running_max = 0
-        self.events: list[GapEvent] = []
-        self.n_max = 0
+# Sieved primes per batch of the pair stream. A batch's arrays (256 KB
+# each) stay in cache and are freed long before a segment's 4 MB would be.
+_BATCH = 1 << 15
 
 
-def _advance(state: _ClassState, sub: np.ndarray, phi: int) -> None:
-    """Feed the next batch of class primes (ascending) through the detector."""
-    if state.last is None:
-        if len(sub) < 2:
-            if len(sub):
-                state.last = int(sub[-1])
-            return
-        gaps = np.diff(sub)
-        starts = sub[:-1]
-        ends = sub[1:]
-    else:
-        gaps = np.diff(sub, prepend=state.last)
-        starts = np.empty_like(sub)
-        starts[0] = state.last
-        starts[1:] = sub[:-1]
-        ends = sub
-    state.last = int(sub[-1])
-    uniq, first_idx = np.unique(gaps, return_index=True)
-    fresh = [
-        (int(i), int(v))
-        for v, i in zip(uniq.tolist(), first_idx.tolist())
-        if v not in state.seen
-    ]
-    if not fresh:
-        return
-    fresh.sort()  # chronological order decides maximality
-    for i, v in fresh:
-        state.seen.add(v)
-        is_max = v > state.running_max
-        if is_max:
-            state.running_max = v
-            state.n_max += 1
-        end = int(ends[i])
-        state.events.append(
-            GapEvent(
-                start_prime=int(starts[i]),
-                end_prime=end,
-                size=v,
-                is_maximal=is_max,
-                is_first_occurrence=True,
-                maximal_index=state.n_max if is_max else None,
-                fo_index=len(state.events) + 1,
-                csg=v / (phi * math.log(end) ** 2),
-            )
-        )
+def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
+                 seg_len: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Consecutive prime pairs of the classes rs (ascending) mod q, up to hi.
+
+    Yields (rows, starts, ends) for each batch of at most _BATCH sieved
+    primes: pair i joins the consecutive primes starts[i] < ends[i] of the
+    class rs[rows[i]]. Pairs come grouped by row, each row in ascending
+    order, and a row's first pair in a batch starts at its last prime of the
+    batches before. A class's first prime starts no pair, except 2: the pair
+    from 2, the only gap that is not a multiple of lcm(2, q), is yielded on
+    its own, ahead of the rest of its batch.
+    """
+    k = len(rs)
+    # residues < q fit a narrow type, which numpy's stable sort radix-sorts
+    key_type = np.min_scalar_type(q - 1)
+    rs_arr = np.array(rs, dtype=key_type)
+    last = np.zeros(k, dtype=np.int64)  # each class's latest prime, 0 before its first
+    two_open = 2 in rs  # the pair from 2 is still to come
+    segments = sieve.iter_prime_segments(1, hi, seg_len=seg_len, threads=threads)
+    for primes in (seg.primes[i : i + _BATCH] for seg in segments
+                   for i in range(0, seg.primes.size, _BATCH)):
+        if k == 1:
+            ends = primes[primes % q == rs[0]]
+            counts = np.array([ends.size])
+        else:
+            residues = (primes % q).astype(key_type)
+            order = np.argsort(residues, kind="stable")  # keeps each class ascending
+            sorted_res = residues[order]
+            los = np.searchsorted(sorted_res, rs_arr, side="left")
+            counts = np.searchsorted(sorted_res, rs_arr, side="right") - los
+            n = int(counts.sum())
+            if n < primes.size:  # drop the primes of classes not asked for
+                order = order[np.arange(n) + np.repeat(los - (np.cumsum(counts) - counts),
+                                                       counts)]
+            ends = primes[order]
+        if not ends.size:
+            continue
+        has = np.flatnonzero(counts)
+        heads = (np.cumsum(counts) - counts)[has]  # each nonempty row's first position
+        prev = last[has]
+        last[has] = ends[heads + counts[has] - 1]
+        starts = np.empty_like(ends)
+        starts[1:] = ends[:-1]
+        starts[heads] = prev
+        rows = np.repeat(np.arange(k), counts)
+        drop = heads[prev == 0]
+        if two_open:
+            two = np.flatnonzero(starts == 2)
+            if two.size:
+                two_open = False
+                yield rows[two], starts[two], ends[two]
+                drop = np.append(drop, two)
+        if drop.size:
+            keep = np.ones(ends.size, dtype=bool)
+            keep[drop] = False
+            rows, starts, ends = rows[keep], starts[keep], ends[keep]
+            if not ends.size:
+                continue
+        yield rows, starts, ends
 
 
 def scan_many(
@@ -120,41 +136,53 @@ def scan_many(
     if x_max < 1:
         raise ValueError("x_max must be positive")
     phi = totient(q)
-    states = {r: _ClassState() for r in rs}
-    # residues < q fit a narrow type, which numpy's stable sort radix-sorts
-    key_type = np.min_scalar_type(q - 1)
-    rs_arr = np.array(rs, dtype=key_type)
-    for seg in sieve.iter_prime_segments(1, x_max, seg_len=seg_len, threads=threads):
-        primes = seg.primes
-        if not len(primes):
-            continue
-        if len(rs) == 1:
-            r = rs[0]
-            sub = primes[primes % q == r]
-            if len(sub):
-                _advance(states[r], sub, phi)
-            continue
-        residues = (primes % q).astype(key_type)
-        order = np.argsort(residues, kind="stable")
-        sorted_res = residues[order]
-        los = np.searchsorted(sorted_res, rs_arr, side="left")
-        his = np.searchsorted(sorted_res, rs_arr, side="right")
-        for r, a, b in zip(rs, los.tolist(), his.tolist()):
-            if a == b:
+    step = lcm2(q)
+    events: list[list[GapEvent]] = [[] for _ in rs]
+    running_max = [0] * len(rs)
+    n_max = [0] * len(rs)
+    seen = np.zeros((len(rs), 1), dtype=bool)  # seen[row, d // step]
+    for rows, starts, ends in _class_pairs(q, rs, x_max, threads=threads, seg_len=seg_len):
+        g = ends - starts
+        if starts[0] == 2:
+            # the odd gap from 2 opens its class's events and stays out of
+            # the table, where d // step could alias an even gap
+            fresh = [0]
+        else:
+            g //= step
+            width = 1 << int(g.max()).bit_length()  # the power of two above every g
+            if width > seen.shape[1]:
+                seen = np.pad(seen, ((0, 0), (0, width - seen.shape[1])))
+            cand = np.flatnonzero(~seen[rows, g])
+            if not cand.size:
                 continue
-            sub = primes[order[a:b]]  # stable sort keeps ascending order
-            _advance(states[r], sub, phi)
-    out = {}
-    for r in rs:
-        st = states[r]
-        out[r] = ScanResult(
-            cls=classes[r],
-            x_max=x_max,
-            events=st.events,
-            n_maximal=st.n_max,
-            n_first_occurrence=len(st.events),
-        )
-    return out
+            _, first = np.unique(rows[cand] * seen.shape[1] + g[cand], return_index=True)
+            fresh = np.sort(cand[first])  # time order within each class
+            seen[rows[fresh], g[fresh]] = True
+        for row, s, e in zip(rows[fresh].tolist(), starts[fresh].tolist(),
+                             ends[fresh].tolist()):
+            v = e - s
+            is_max = v > running_max[row]
+            if is_max:
+                running_max[row] = v
+                n_max[row] += 1
+            evs = events[row]
+            evs.append(
+                GapEvent(
+                    start_prime=s,
+                    end_prime=e,
+                    size=v,
+                    is_maximal=is_max,
+                    is_first_occurrence=True,
+                    maximal_index=n_max[row] if is_max else None,
+                    fo_index=len(evs) + 1,
+                    csg=v / (phi * math.log(e) ** 2),
+                )
+            )
+    return {
+        r: ScanResult(cls=classes[r], x_max=x_max, events=events[i],
+                      n_maximal=n_max[i], n_first_occurrence=len(events[i]))
+        for i, r in enumerate(rs)
+    }
 
 
 def scan(cls: ResidueClass, x_max: int, *, threads: int = 1,
@@ -163,33 +191,22 @@ def scan(cls: ResidueClass, x_max: int, *, threads: int = 1,
     return scan_many(cls.q, [cls.r], x_max, threads=threads, seg_len=seg_len)[cls.r]
 
 
-def latest_first_occurrence(result: ScanResult, x: int) -> GapEvent:
-    """Most recent event whose end prime is <= x."""
-    if x > result.x_max:
-        raise ValueError("x beyond the scanned range")
-    ends = [ev.end_prime for ev in result.events]
-    i = bisect.bisect_right(ends, x)
-    if i == 0:
-        raise LookupError(f"no gap event ends at or below {x}")
-    return result.events[i - 1]
-
-
 def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int, int]:
     """Exact histogram of gap sizes between consecutive class primes <= x."""
     if x < 1:
         raise ValueError("x must be positive")
+    step = lcm2(cls.q)
     counts: dict[int, int] = {}
-    last: Optional[int] = None
-    for seg in sieve.iter_class_segments(cls, 1, x, threads=threads):
-        sub = seg.primes
-        if not len(sub):
+    total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * step
+    for _, starts, ends in _class_pairs(cls.q, [cls.r], x, threads=threads,
+                                        seg_len=DEFAULT_SEGMENT_LENGTH):
+        if starts[0] == 2:  # the odd gap from 2
+            counts[int(ends[0]) - 2] = 1
             continue
-        gaps = np.diff(sub) if last is None else np.diff(sub, prepend=last)
-        last = int(sub[-1])
-        if len(gaps):
-            vals, cnts = np.unique(gaps, return_counts=True)
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counts[v] = counts.get(v, 0) + c
+        per_g = np.bincount((ends - starts) // step, minlength=total.size)
+        per_g[: total.size] += total
+        total = per_g
+    counts.update((g * step, c) for g, c in enumerate(total.tolist()) if c)
     return counts
 
 
@@ -204,9 +221,6 @@ def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
     if d % 2 or d % cls.q:
         return 0
     return gap_size_counts(cls, x, threads=threads).get(d, 0)
-
-
-RecordKind = Literal["maximal", "first_occurrence"]
 
 
 def interval_record_table(
@@ -243,22 +257,6 @@ def interval_record_table(
                     max_totals[k - 1] += 1
     n = len(rs)
     return [(j, fo_totals[j - 1] / n, max_totals[j - 1] / n) for j in range(1, j_max + 1)]
-
-
-def interval_record_counts(
-    q: int,
-    j_max: int,
-    kind: RecordKind,
-    *,
-    threads: int = 1,
-    budget: Optional[int] = None,
-) -> list[tuple[int, float]]:
-    """Mean counts of one record kind per interval (e^j, e^{j+1}]."""
-    if kind not in ("maximal", "first_occurrence"):
-        raise ValueError(f"unknown record kind {kind!r}")
-    table = interval_record_table(q, j_max, threads=threads, budget=budget)
-    idx = 2 if kind == "maximal" else 1
-    return [(row[0], row[idx]) for row in table]
 
 
 def check_record_bounds(result: ScanResult) -> list[tuple[str, int, int]]:

@@ -75,21 +75,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _CHUNK_NODES = 1 << 18
 
 
-def _panel_edges(a: np.ndarray, b: np.ndarray, panels: int, geometric: bool) -> np.ndarray:
-    """Row i: panels + 1 edges from a[i] to b[i], as numpy spaces them alone."""
-    if geometric:
-        return np.geomspace(a, b, panels + 1, axis=-1)
-    # np.linspace switches every row to another formula once any row's step
-    # underflows to 0 (subnormal b - a), so such rows are spaced on their own
-    flat = (b - a) / panels == 0
-    if not flat.any() or flat.all():
-        return np.linspace(a, b, panels + 1, axis=-1)
-    edges = np.empty((a.size, panels + 1))
-    for rows in (flat, ~flat):
-        edges[rows] = np.linspace(a[rows], b[rows], panels + 1, axis=-1)
-    return edges
-
-
 def _panel_quad_inv_log(edges: np.ndarray) -> np.ndarray:
     """Composite Gauss-Legendre for integral of dt/log t, one row of edges each.
 
@@ -103,11 +88,12 @@ def _panel_quad_inv_log(edges: np.ndarray) -> np.ndarray:
     return terms.reshape(len(edges), -1).sum(axis=1)
 
 
-def _adaptive_inv_log(a: np.ndarray, b: np.ndarray, geometric: bool) -> np.ndarray:
+def _adaptive_inv_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integral of dt/log t on [a[i], b[i]], panel count doubled until stable.
 
-    Every element starts at 8 panels and keeps the value of the first level
-    at which it agrees with the level before (or the 12th level's value).
+    Panels are geometric. Every element starts at 8 panels and keeps the
+    value of the first level at which it agrees with the level before (or the
+    12th level's value).
     """
     out = np.full(a.size, math.inf)  # the previous level's value until converged
     todo = np.arange(a.size)
@@ -119,7 +105,8 @@ def _adaptive_inv_log(a: np.ndarray, b: np.ndarray, geometric: bool) -> np.ndarr
         left = []
         for start in range(0, todo.size, per_chunk):
             idx = todo[start : start + per_chunk]
-            val = _panel_quad_inv_log(_panel_edges(a[idx], b[idx], panels, geometric))
+            edges = np.geomspace(a[idx], b[idx], panels + 1, axis=-1)
+            val = _panel_quad_inv_log(edges)
             done = np.abs(val - out[idx]) <= 1e-13 * np.maximum(1.0, np.abs(val))
             left.append(idx[~done])
             out[idx] = val
@@ -128,12 +115,45 @@ def _adaptive_inv_log(a: np.ndarray, b: np.ndarray, geometric: bool) -> np.ndarr
     return out
 
 
+def _li_below_two(x: np.ndarray) -> np.ndarray:
+    """li(x) for 0 < x < 2 (x != 1), elementwise, without quadrature.
+
+    For |ln x| <= 1.5 the series li(x) = Ei(ln x) = gamma + ln|ln x|
+    + sum_k (ln x)^k / (k k!) (DLMF §6.6), which quadrature next to the pole
+    at 1 cannot match. Below that, li(x) = -E1(t) with t = -ln x >= 1.5, from
+    the continued fraction of E1 (DLMF §6.9) by the modified Lentz method,
+    and e^-t taken as x itself. Both run a fixed number of steps, so an
+    element's bits do not depend on the rest of the batch.
+    """
+    lnx = np.log(x)
+    out = np.empty_like(x)
+    near = np.abs(lnx) <= 1.5
+    s = lnx[near]
+    term = total = s
+    for k in range(2, 25):
+        term = term * s / k
+        total = total + term / k
+    out[near] = EULER_GAMMA + np.log(np.abs(s)) + total
+    t = -lnx[~near]
+    b = t + 1.0
+    c = np.full_like(t, np.inf)
+    d = h = 1.0 / b
+    for i in range(1, 65):
+        b = b + 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        h = h * (c * d)
+    out[~near] = -h * x[~near]
+    return out
+
+
 def log_integral_many(xs) -> np.ndarray:
-    """li(x) for each x in a 1-D sequence, in one vectorized quadrature pass.
+    """li(x) for each x in a 1-D sequence, in one vectorized pass.
 
     Element for element bit-identical to log_integral, which is this function
-    on one element. The quadrature runs in chunks of at most _CHUNK_NODES
-    nodes, so temporaries stay a few MB whatever the batch size.
+    on one element. Above 2 the quadrature runs in chunks of at most
+    _CHUNK_NODES nodes, so temporaries stay a few MB whatever the batch size;
+    below 2, _li_below_two evaluates a series or a continued fraction.
     """
     x = np.asarray(xs, dtype=np.float64).reshape(-1)
     if not (x >= 0.0).all() or np.isinf(x).any():
@@ -142,15 +162,12 @@ def log_integral_many(xs) -> np.ndarray:
         raise ValueError("log_integral diverges at x = 1")
     out = np.zeros(x.size)  # li(0) = 0
     out[x == 2.0] = LI_AT_2
-    below_one = (0.0 < x) & (x < 1.0)
-    out[below_one] = _adaptive_inv_log(
-        np.zeros(below_one.sum()), x[below_one], geometric=False)
-    below_two = (1.0 < x) & (x < 2.0)
-    out[below_two] = LI_AT_2 - _adaptive_inv_log(
-        x[below_two], np.full(below_two.sum(), 2.0), geometric=True)
+    below_two = (0.0 < x) & (x < 2.0)
+    if below_two.any():  # its fixed steps cost about 0.5 ms even on no points
+        out[below_two] = _li_below_two(x[below_two])
     above_two = x > 2.0
-    out[above_two] = LI_AT_2 + _adaptive_inv_log(
-        np.full(above_two.sum(), 2.0), x[above_two], geometric=True)
+    out[above_two] = LI_AT_2 + _adaptive_inv_log(np.full(above_two.sum(), 2.0),
+                                                  x[above_two])
     return out
 
 
@@ -158,10 +175,12 @@ def log_integral_many(xs) -> np.ndarray:
 def log_integral(x: float) -> float:
     """li(x) = PV integral of dt/log t from 0 to x.
 
-    Computed as li(2) + quadrature over [2, x] (geometric panels), which keeps
-    the t = 1 singularity out of the integration range entirely. Defined for
-    finite x >= 0, x != 1; li(0) = 0 and li(x) < 0 on (0, 1). This is
-    log_integral_many on one element; pass many points there in one call.
+    Above 2 computed as li(2) + quadrature over [2, x] (geometric panels),
+    which keeps the t = 1 singularity out of the integration range entirely;
+    below 2 by the series of Ei(ln x) near 1 and the continued fraction of
+    E1 nearer 0. Defined for finite x >= 0, x != 1; li(0) = 0 and li(x) < 0
+    on (0, 1). This is log_integral_many on one element; pass many points
+    there in one call.
     """
     return float(log_integral_many([float(x)])[0])
 

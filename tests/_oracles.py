@@ -130,20 +130,21 @@ _GL32 = np.polynomial.legendre.leggauss(32)
 
 
 def scalar_li(x: float) -> float:
-    """li(x) by the package's quadrature rule, one point at a time.
+    """li(x) by the package's rules, one point at a time.
 
-    This is deliberately the same rule as numutil.log_integral_many (li(2)
-    plus 32-point Gauss-Legendre on 8, 16, ... geometric or linear panels,
-    stopped at relative change 1e-13), written as the plain scalar loop it
-    was before li was batched. The batch must give these exact bits.
+    This is deliberately the same rule as numutil.log_integral_many, written
+    as the plain scalar loops it stands for. Above 2: li(2) plus 32-point
+    Gauss-Legendre on 8, 16, ... geometric panels, stopped at relative change
+    1e-13. Below 2: the series of Ei(ln x) for |ln x| <= 1.5, else 64 Lentz
+    steps of the continued fraction of E1(-ln x). The batch must give these
+    exact bits.
     """
     nodes, weights = _GL32
 
-    def quad(a: float, b: float, geometric: bool) -> float:
+    def quad(a: float, b: float) -> float:
         panels, prev = 8, math.inf
         for _ in range(12):
-            space = np.geomspace if geometric else np.linspace
-            edges = space(a, b, panels + 1)
+            edges = np.geomspace(a, b, panels + 1)
             mid = 0.5 * (edges[1:] + edges[:-1])
             half = 0.5 * (edges[1:] - edges[:-1])
             t = mid[:, None] + half[:, None] * nodes
@@ -154,14 +155,30 @@ def scalar_li(x: float) -> float:
             panels *= 2
         return prev
 
+    def log(v: float) -> float:  # numpy's log, which the batch uses
+        return float(np.log(np.array([v]))[0])
+
     li2 = 1.0451637801174927848
     x = float(x)
     if x == 0.0:
         return 0.0
     if x == 2.0:
         return li2
-    if x < 1.0:
-        return quad(0.0, x, geometric=False)
-    if x < 2.0:
-        return li2 - quad(x, 2.0, geometric=True)
-    return li2 + quad(2.0, x, geometric=True)
+    if x > 2.0:
+        return li2 + quad(2.0, x)
+    s = log(x)
+    if abs(s) <= 1.5:
+        term = total = s
+        for k in range(2, 25):
+            term = term * s / k
+            total = total + term / k
+        return 0.5772156649015329 + log(abs(s)) + total
+    b = -s + 1.0
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 65):
+        b = b + 2.0
+        d = 1.0 / (b - i * i * d)
+        c = b - i * i / c
+        h = h * (c * d)
+    return -h * x

@@ -98,6 +98,32 @@ class TestGumbelFit:
         d = ks_statistic(u, lambda x: gumbel_cdf(x, fit.scale, fit.mode))
         assert d == fit.ks
 
+    @staticmethod
+    def score(u, alpha):
+        w = np.exp(-(u - u.min()) / alpha)
+        return u.mean() - (u * w).sum() / w.sum() - alpha
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_heavy_tail_bisects_the_score(self, seed):
+        # the damped iteration 2-cycles on these t(3) samples and used to raise
+        u = np.random.default_rng(seed).standard_t(3, 5000)
+        fit = fit_gumbel(u)
+        assert abs(self.score(u, fit.scale)) <= 1e-10 * fit.scale
+        # the score falls strictly in alpha: a sign change brackets the root
+        assert self.score(u, fit.scale * (1 - 1e-9)) > 0 > self.score(u, fit.scale * (1 + 1e-9))
+        want = -fit.scale * math.log(np.exp(-u / fit.scale).mean())
+        assert fit.mode == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed,scale,mode", [
+        (0, 2.4789050323952955, -0.8433686556432014),
+        (6, 2.2786430308226695, -0.8258454470025324),
+    ])
+    def test_converging_iteration_keeps_its_bits(self, seed, scale, mode):
+        # t(3) samples the damped iteration settles on, fitted before the
+        # bisection fallback existed
+        fit = fit_gumbel(np.random.default_rng(seed).standard_t(3, 5000))
+        assert (fit.scale, fit.mode) == (scale, mode)
+
 
 class TestGevFit:
     def test_gumbel_data_near_zero_shape(self):

@@ -1,17 +1,21 @@
 import csv
 import json
 import math
+from collections import Counter, defaultdict
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apgaps import brun, gapscan
 from apgaps.gapscan import (
     GapEvent,
     ScanResult,
     check_record_bounds,
     gap_size_counts,
-    interval_record_counts,
     interval_record_table,
-    latest_first_occurrence,
     scan,
     scan_many,
     tau,
@@ -21,7 +25,7 @@ from apgaps.gapscan import (
 from apgaps.numutil import lcm2, totient
 from apgaps.sieve import ResidueClass
 
-from _oracles import naive_events, naive_tau
+from _oracles import naive_events, naive_tau, trial_division_primes_in_class
 
 
 class TestScanExamples:
@@ -85,14 +89,118 @@ class TestOracleEquivalence:
             assert many[r].events == single.events
 
 
+@st.composite
+def class_sets(draw):
+    """q <= 60 and a random set of its classes; odd q always brings r = 2."""
+    q = draw(st.integers(2, 60))
+    coprime = [r for r in range(1, q) if math.gcd(r, q) == 1]
+    rs = set(draw(st.lists(st.sampled_from(coprime), min_size=1, max_size=8)))
+    if q % 2:
+        rs.add(2)  # the class holding the prime 2 and its odd gap
+    return q, sorted(rs)
+
+
+def _event_tuples(res):
+    return [(e.start_prime, e.end_prime, e.size, e.is_maximal, e.maximal_index,
+             e.fo_index, e.csg) for e in res.events]
+
+
+def _naive_tuples(q, r, x):
+    return [(e["start_prime"], e["end_prime"], e["size"], e["is_maximal"],
+             e["maximal_index"], e["fo_index"], e["csg"]) for e in naive_events(q, r, x)]
+
+
+class TestPairStreamDifferential:
+    """The class-pair stream and its three consumers against trial division.
+
+    Small segments and batches split the classes over many batches, some of
+    them with no prime of a class, and carry the pair from 2 across batch
+    bounds.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(qrs=class_sets(), x=st.integers(1, 30_000), data=st.data())
+    def test_pairs_match_oracle(self, qrs, x, data):
+        q, rs = qrs
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        threads = data.draw(st.integers(1, 3), label="threads")
+        batch = data.draw(st.integers(1, 64), label="batch")
+        got = defaultdict(list)
+        with mock.patch.object(gapscan, "_BATCH", batch):
+            for rows, starts, ends in gapscan._class_pairs(q, rs, x, threads=threads,
+                                                           seg_len=seg_len):
+                assert rows.size and np.all(np.diff(rows) >= 0)
+                for row, s, e in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+                    got[rs[row]].append((s, e))
+        for r in rs:
+            primes = trial_division_primes_in_class(q, r, x).tolist()
+            assert got[r] == list(zip(primes, primes[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(qrs=class_sets(), x=st.integers(1, 30_000), data=st.data())
+    def test_scan_many_matches_oracle(self, qrs, x, data):
+        q, rs = qrs
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        one = scan_many(q, rs, x, seg_len=seg_len, threads=1)
+        batch = data.draw(st.integers(1, 64), label="batch")
+        with mock.patch.object(gapscan, "_BATCH", batch):
+            three = scan_many(q, rs, x, seg_len=seg_len, threads=3)
+        for r in rs:
+            want = _naive_tuples(q, r, x)
+            assert _event_tuples(one[r]) == want
+            assert one[r].events == three[r].events
+            assert one[r].n_maximal == sum(e[3] for e in want)
+            assert one[r].n_first_occurrence == len(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qrs=class_sets(), x=st.integers(1, 30_000), data=st.data())
+    def test_gap_size_counts_match_oracle(self, qrs, x, data):
+        q, rs = qrs
+        r = data.draw(st.sampled_from(rs), label="r")
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        threads = data.draw(st.integers(1, 3), label="threads")
+        primes = trial_division_primes_in_class(q, r, x)
+        want = Counter(np.diff(primes).tolist())
+        with mock.patch.object(gapscan, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            got = gap_size_counts(ResidueClass(q, r), x, threads=threads)
+        assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(qrs=class_sets(), x=st.integers(1, 30_000), data=st.data())
+    def test_brun_growth_matches_oracle(self, qrs, x, data):
+        q, rs = qrs
+        r = data.draw(st.sampled_from(rs), label="r")
+        primes = trial_division_primes_in_class(q, r, x).tolist()
+        pairs = list(zip(primes, primes[1:]))
+        # d = q is the odd gap from 2 when 2 + q is prime, as 2 -> 5 in 2 mod 3
+        d = data.draw(st.sampled_from(sorted({e - s for s, e in pairs} | {lcm2(q), q})),
+                      label="d")
+        xs = sorted(set(data.draw(st.lists(st.integers(1, x), max_size=4), label="xs"))
+                    | {x})
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        threads = data.draw(st.integers(1, 3), label="threads")
+        with mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            got = brun.brun_growth(d, ResidueClass(q, r), xs, threads=threads)
+        for bs in got:
+            hits = [(s, e) for s, e in pairs if e - s == d and e <= bs.x]
+            assert bs.pair_count == len(hits)
+            assert bs.partial_sum == pytest.approx(
+                math.fsum(1 / s + 1 / e for s, e in hits), rel=1e-12, abs=0)
+
+    def test_odd_gap_from_two_is_its_own_event(self):
+        # 2 -> 23 (d = 21) opens 2 mod 7; 21 // 14 == 14 // 14, yet the next
+        # pair 23 -> 37 (d = 14) is a new gap size, below the running max 21
+        res = scan(ResidueClass(7, 2), 10**4)
+        got = [(e.start_prime, e.end_prime, e.size, e.maximal_index, e.fo_index)
+               for e in res.events[:2]]
+        assert got == [(2, 23, 21, 1, 1), (23, 37, 14, None, 2)]
+        assert _event_tuples(res) == _naive_tuples(7, 2, 10**4)
+        assert gap_size_counts(ResidueClass(7, 2), 10**4)[21] == 1
+
+
 @pytest.fixture(scope="module")
 def result():
     return scan(ResidueClass(6, 1), 10**6)
-
-
-@pytest.fixture(scope="module")
-def res2():
-    return scan(ResidueClass(2, 1), 30)
 
 
 class TestInvariants:
@@ -120,27 +228,6 @@ class TestInvariants:
     def test_events_ordered_by_end_prime(self, result):
         ends = [e.end_prime for e in result.events]
         assert ends == sorted(ends)
-
-
-class TestLatestFirstOccurrence:
-    def test_at_30(self, res2):
-        assert latest_first_occurrence(res2, 30).size == 6
-
-    def test_at_12(self, res2):
-        ev = latest_first_occurrence(res2, 12)
-        assert (ev.size, ev.start_prime, ev.end_prime) == (4, 7, 11)
-
-    def test_single_event_class(self):
-        res = scan(ResidueClass(6, 5), 11)
-        assert latest_first_occurrence(res, 11).size == 6
-
-    def test_beyond_scan_raises(self, res2):
-        with pytest.raises(ValueError):
-            latest_first_occurrence(res2, 31)
-
-    def test_before_first_event_raises(self, res2):
-        with pytest.raises(LookupError):
-            latest_first_occurrence(res2, 4)
 
 
 class TestTau:
@@ -180,8 +267,7 @@ class TestIntervalCounts:
 
     def test_bucket_boundaries_q2(self):
         # records d=2 ends at 5, d=4 ends at 11; bucket j=1 is (2, 7]
-        rows = interval_record_counts(2, 1, "maximal")
-        assert rows == [(1, 1.0)]
+        assert interval_record_table(2, 1) == [(1, 1.0, 1.0)]
 
     def test_empty_bucket_zero(self):
         table = interval_record_table(211, 1)
@@ -194,10 +280,6 @@ class TestIntervalCounts:
         from apgaps.gapscan import BudgetExceededError
         with pytest.raises(BudgetExceededError):
             interval_record_table(6, 30, budget=10**6)
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            interval_record_counts(6, 2, "weird")
 
 
 class TestRecordBounds:

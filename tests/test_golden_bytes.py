@@ -1,0 +1,75 @@
+"""Byte pins: output files and stdout of a few fast CLI runs, by sha256.
+
+The digests in golden_sha256.json were recorded from the code as it was
+before record detection moved to the per-class seen table, so any change
+to an artifact's bytes, however small, fails here. Each run goes into its
+own directory with a relative ``--out``, so the paths printed on stdout do
+not depend on where the tests run. To print the digests of the current code:
+
+    PYTHONPATH=src python tests/test_golden_bytes.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from apgaps import cli
+
+GOLDEN = Path(__file__).with_name("golden_sha256.json")
+
+RUNS = {
+    "scan-q3": ["scan", "--q", "3", "--r", "all", "--x-max", "1e6"],
+    "scan-q211-t1": ["scan", "--q", "211", "--r", "all", "--x-max", "1e6", "--threads", "1"],
+    "scan-q211-t2": ["scan", "--q", "211", "--r", "all", "--x-max", "1e6", "--threads", "2"],
+    "fit-q211": ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e7"],
+    "brun-twin": ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e6"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(argv: list[str], workdir: Path) -> dict:
+    """Run the CLI in workdir with --out out; digests of stdout and every file."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    cwd = os.getcwd()
+    buf = io.StringIO()
+    try:
+        os.chdir(workdir)
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv + ["--out", "out"])
+    finally:
+        os.chdir(cwd)
+    out = workdir / "out"
+    return {
+        "exit": code,
+        "stdout": _sha(buf.getvalue().encode()),
+        "files": {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_byte_identical(name, tmp_path):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = run_digests(RUNS[name], tmp_path)
+    assert got["exit"] == want["exit"] == 0
+    assert got["stdout"] == want["stdout"], "stdout differs"
+    assert sorted(got["files"]) == sorted(want["files"])
+    changed = [f for f in want["files"] if got["files"][f] != want["files"][f]]
+    assert not changed, f"files differ: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {name: run_digests(argv, Path(tmp) / name) for name, argv in RUNS.items()}
+    json.dump(golden, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

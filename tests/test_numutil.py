@@ -103,6 +103,43 @@ class TestLogIntegral:
             assert 0.9 < ratio < 1.2
 
 
+class TestLogIntegralBelowTwo:
+    """li on (0, 2) against mpmath: the series near 1, the continued fraction nearer 0."""
+
+    @staticmethod
+    def close(got: float, want: float) -> bool:
+        # li has a simple root at mu = 1.4513692..., where no float
+        # evaluation is relatively accurate; 1e-15 absolute covers it
+        return abs(got - want) <= 1e-13 * abs(want) + 1e-15
+
+    def test_near_one(self):
+        # the quadrature gave -17.56 and -17.24 here
+        assert log_integral(1 + 1e-9) == pytest.approx(-20.1460501, abs=1e-6)
+        assert log_integral(1 - 1e-12) == pytest.approx(-27.0538276, abs=1e-6)
+        xs = [ulps_from(1.0, k) for k in (-3, -1, 1, 3)] + [1 + 1e-9, 1 - 1e-12]
+        for x, got in zip(xs, log_integral_many(xs).tolist()):
+            assert self.close(got, mp_li(x)), x
+
+    def test_grid_against_mpmath(self):
+        rng = np.random.default_rng(6)
+        xs = np.concatenate([
+            rng.uniform(0.0, 2.0, 300),
+            1.0 + rng.uniform(-1e-4, 1e-4, 50),
+            np.exp(-rng.uniform(1.4, 1.6, 50)),  # where the two rules meet
+            np.exp(-rng.uniform(0.0, 700.0, 50)),
+            [5e-324, 1e-300, math.exp(-1.5), 0.2231301601484298, 1.4513692348833810],
+        ])
+        xs = xs[(xs > 0.0) & (xs < 2.0) & (xs != 1.0)]
+        for x, got in zip(xs.tolist(), log_integral_many(xs).tolist()):
+            assert self.close(got, mp_li(x)), x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True)
+           .filter(lambda x: x != 1.0))
+    def test_any_point(self, x):
+        assert self.close(log_integral(x), mp_li(x))
+
+
 def ulps_from(x: float, k: int) -> float:
     """The float k steps above x (below for k < 0)."""
     for _ in range(abs(k)):
