@@ -150,36 +150,36 @@ def brun_growth(
     One checkpointed pass: a pair enters every checkpoint x with p' <= x. A
     prime shared by two gap-d pairs in a row is counted in both (sum over
     pairs, not over the underlying prime set). Accumulation is ordered, so
-    results do not depend on the thread count.
+    results do not depend on the thread count. The running sum is carried
+    from batch to batch, with the same bits as one cumsum over the whole
+    run, and each checkpoint is read as the stream passes it, so memory
+    stays that of one batch.
     """
     if d < 1:
         raise ValueError("d must be positive")
     xs = sorted(set(int(x) for x in x_values))
     if not xs or xs[0] < 1:
         raise ValueError("checkpoints must be positive")
-    hi = xs[-1]
-    starts_parts = []
-    ends_parts = []
-    for _, st, en in _class_pairs(cls.q, [cls.r], hi, threads=threads,
+    marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
+    total = 0.0
+    count = 0
+    for _, st, en in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads,
                                   seg_len=DEFAULT_SEGMENT_LENGTH):
         sel = en - st == d
-        if sel.any():
-            starts_parts.append(st[sel])
-            ends_parts.append(en[sel])
-    if starts_parts:
-        st_all = np.concatenate(starts_parts)
-        en_all = np.concatenate(ends_parts)
-        csum = np.cumsum(1.0 / st_all + 1.0 / en_all)
-    else:
-        en_all = np.empty(0, dtype=np.int64)
-        csum = np.empty(0, dtype=np.float64)
-    out = []
-    for x in xs:
-        k = int(np.searchsorted(en_all, x, side="right"))
-        out.append(BrunSum(d=d, cls=cls, x=x,
-                           partial_sum=float(csum[k - 1]) if k else 0.0,
-                           pair_count=k))
-    return out
+        en = en.compress(sel)
+        if not en.size:
+            continue
+        terms = 1.0 / st.compress(sel) + 1.0 / en
+        terms[0] += total  # cumsum adds in order: as if over the whole run
+        csum = np.cumsum(terms)
+        while len(marks) < len(xs) and xs[len(marks)] < en[-1]:
+            k = int(np.searchsorted(en, xs[len(marks)], side="right"))
+            marks.append((float(csum[k - 1]) if k else total, count + k))
+        total = float(csum[-1])
+        count += en.size
+    marks += [(total, count)] * (len(xs) - len(marks))
+    return [BrunSum(d=d, cls=cls, x=x, partial_sum=s, pair_count=c)
+            for x, (s, c) in zip(xs, marks)]
 
 
 def brun_partial_sum(d: int, cls: ResidueClass, x: int, *, threads: int = 1) -> BrunSum:

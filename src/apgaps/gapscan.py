@@ -57,7 +57,8 @@ class ScanResult:
 
 
 # Sieved primes per batch of the pair stream. A batch's arrays (256 KB
-# each) stay in cache and are freed long before a segment's 4 MB would be.
+# each) stay in cache and are freed long before a segment's primes (about
+# 1 MB) would be.
 _BATCH = 1 << 15
 
 
@@ -82,11 +83,13 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
     segments = sieve.iter_prime_segments(1, hi, seg_len=seg_len, threads=threads)
     for primes in (seg.primes[i : i + _BATCH] for seg in segments
                    for i in range(0, seg.primes.size, _BATCH)):
+        # p - p // q * q is p % q for p >= 0 at half numpy's cost, and compress
+        # is several times faster than boolean indexing on a half-true mask
         if k == 1:
-            ends = primes[primes % q == rs[0]]
+            ends = primes.compress(primes - primes // q * q == rs[0])
             counts = np.array([ends.size])
         else:
-            residues = (primes % q).astype(key_type)
+            residues = (primes - primes // q * q).astype(key_type)
             order = np.argsort(residues, kind="stable")  # keeps each class ascending
             sorted_res = residues[order]
             los = np.searchsorted(sorted_res, rs_arr, side="left")
@@ -116,7 +119,7 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
         if drop.size:
             keep = np.ones(ends.size, dtype=bool)
             keep[drop] = False
-            rows, starts, ends = rows[keep], starts[keep], ends[keep]
+            rows, starts, ends = rows.compress(keep), starts.compress(keep), ends.compress(keep)
             if not ends.size:
                 continue
         yield rows, starts, ends

@@ -1,12 +1,20 @@
 """Segmented prime generation over [lo, hi], optionally restricted to a residue class.
 
 Each segment is sieved over its odd numbers only: mask entry i stands for
-(lo | 1) + 2i, the prime 2 is added back by hand, and the odd base primes
-strike their odd multiples with step p in the mask (2p in the numbers).
-``seg_len`` still counts the numbers a segment spans, so a segment's mask
-holds about seg_len / 2 bytes. Residues are filtered after sieving: a single
-vectorized modulo over each segment, and the scanner typically wants many
-residues of the same modulus from one pass anyway.
+(lo | 1) + 2i, and the prime 2 is added back by hand. The mask does not start
+all true. It is copied from a pattern of the 15,015 odd numbers of one
+period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with the multiples of 3, 5, 7, 11
+and 13 already struck; those five primes are set back where they fall in
+the interval, and 1 is cleared. The base primes from 17 up then strike their
+odd multiples with step p in the mask (2p in the numbers). Their first mask
+indices, each at the first odd multiple >= max(p^2, lo | 1), come from one
+vectorized pass over the base primes, so the Python loop only slices.
+
+``seg_len`` still counts the numbers a segment spans: the default 2^21 gives
+a 1 MiB mask, which stays in a 2 MiB L2 cache together with its primes.
+Residues are filtered after sieving with one floor division per prime
+(p - p // q * q, which numpy does faster than %) and ``compress``; the scanner
+typically wants many residues of the same modulus from one pass anyway.
 """
 
 from __future__ import annotations
@@ -20,7 +28,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 MAX_SIEVE_BOUND = (1 << 63) - 1
-DEFAULT_SEGMENT_LENGTH = 1 << 22
+DEFAULT_SEGMENT_LENGTH = 1 << 21
+
+# The pre-sieve pattern: entry j tells whether 2j + 1 has no factor among
+# _PRESIEVED. It holds two periods, so any window of _PERIOD is one slice.
+_PRESIEVED = (3, 5, 7, 11, 13)
+_PERIOD = math.prod(_PRESIEVED)
+_PATTERN = np.tile(np.gcd(np.arange(1, 2 * _PERIOD, 2), _PERIOD) == 1, 2)
 
 
 @dataclass(frozen=True)
@@ -88,25 +102,49 @@ def _sieve_odd(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarra
     # functions that tracing and profiling see.
     root = math.isqrt(hi)
     if base is None:
-        base = _sieve_odd(1, root) if root >= 3 else np.empty(0, dtype=np.int64)
+        base = _sieve_odd(1, root) if root > _PRESIEVED[-1] else np.empty(0, dtype=np.int64)
     o0 = lo | 1
-    mask = np.ones((hi - o0) // 2 + 1, dtype=bool)
-    if o0 == 1:
-        mask[0] = False
-    odd_lo = int(np.searchsorted(base, 3))
-    odd_hi = int(np.searchsorted(base, root, side="right"))
-    for p in base[odd_lo:odd_hi].tolist():
-        # first odd multiple of p that is >= max(p^2, o0)
-        start = max(p * p, -(-o0 // p) * p)
-        if not start & 1:
-            start += p
-        mask[(start - o0) // 2 :: p] = False
+    mask = _presieved(o0, (hi - o0) // 2 + 1)
+    if o0 <= _PRESIEVED[-1]:
+        if o0 == 1:
+            mask[0] = False
+        for p in _PRESIEVED:
+            if o0 <= p <= hi:
+                mask[(p - o0) // 2] = True
+    ps = base[np.searchsorted(base, _PRESIEVED[-1], side="right")
+              : np.searchsorted(base, root, side="right")]
+    for i, p in zip(_first_strikes(o0, ps).tolist(), ps.tolist()):
+        mask[i::p] = False
     out = np.flatnonzero(mask).astype(np.int64, copy=False)
     out *= 2
     out += o0
     if lo <= 2 <= hi:
         out = np.concatenate((np.array([2], dtype=np.int64), out))
     return out
+
+
+def _presieved(o0: int, n: int) -> np.ndarray:
+    """The odd-only mask of n entries from o0, with the pattern's strikes."""
+    mask = np.empty(n, dtype=bool)
+    j0 = (o0 >> 1) % _PERIOD
+    k = min(n, _PERIOD)
+    mask[:k] = _PATTERN[j0 : j0 + k]
+    while k < n:  # mask[:k] holds whole periods: double it
+        c = min(k, n - k)
+        mask[k : k + c] = mask[:c]
+        k += c
+    return mask
+
+
+def _first_strikes(o0: int, ps: np.ndarray) -> np.ndarray:
+    """Mask index of each odd prime p's first odd multiple >= max(p^2, o0).
+
+    o0 is odd. No product exceeds p^2 <= hi, so nothing overflows int64 up to
+    MAX_SIEVE_BOUND.
+    """
+    t = (-o0) % ps  # o0 + t is the first multiple of p >= o0
+    t += (t & 1) * ps  # an even multiple: step to the next, odd one
+    return np.maximum(t >> 1, (ps * ps - o0) >> 1)
 
 
 def _segment_bounds(lo: int, hi: int, seg_len: int) -> list[tuple[int, int]]:
@@ -160,7 +198,7 @@ def iter_class_segments(
     """Stream segments holding only primes p ≡ r (mod q), p in [lo, hi]."""
     for seg in iter_prime_segments(lo, hi, seg_len=seg_len, threads=threads):
         pr = seg.primes
-        yield PrimeSegment(seg.lo, seg.hi, pr[pr % cls.q == cls.r])
+        yield PrimeSegment(seg.lo, seg.hi, pr.compress(pr - pr // cls.q * cls.q == cls.r))
 
 
 def primes_in_class(

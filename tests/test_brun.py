@@ -1,8 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apgaps import brun, gapscan
 from apgaps.brun import (
     brun_estimate,
     brun_growth,
@@ -141,6 +146,46 @@ class TestBrunPartialSum:
             solo = brun_partial_sum(6, ResidueClass(6, 1), x)
             assert g.partial_sum == solo.partial_sum
             assert g.pair_count == solo.pair_count
+
+
+def concatenated_growth(primes, d, xs):
+    """Checkpoints read from one cumsum over every gap-d pair of the run."""
+    p = np.array(primes, dtype=np.int64)
+    sel = p[1:] - p[:-1] == d
+    ends = p[1:][sel]
+    csum = np.cumsum(1.0 / p[:-1][sel] + 1.0 / ends)
+    out = []
+    for x in xs:
+        k = int(np.searchsorted(ends, x, side="right"))
+        out.append((float(csum[k - 1]) if k else 0.0, k))
+    return out
+
+
+class TestBoundedGrowth:
+    """The carried running sum gives the bits of one cumsum over the run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 4, 6, 30]), x=st.integers(1, 30_000),
+           batch=st.integers(1, 300), threads=st.integers(1, 2), data=st.data())
+    def test_bit_equal_to_one_cumsum(self, d, x, batch, threads, data):
+        xs = sorted(set(data.draw(st.lists(st.integers(1, x), max_size=5), label="xs"))
+                    | {x})
+        primes = trial_division_primes_in_class(2, 1, x).tolist()
+        with mock.patch.object(gapscan, "_BATCH", batch), \
+                mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", max(2, x // 7)):
+            got = brun_growth(d, ResidueClass(2, 1), xs, threads=threads)
+        assert [(g.partial_sum, g.pair_count) for g in got] == \
+            concatenated_growth(primes, d, xs)
+
+    def test_checkpoints_before_first_and_after_last_pair(self):
+        # twin pairs up to 100 end at 5, 7, 13, 19, 31, 43, 61 and 73
+        xs = [1, 4, 5, 6, 72, 73, 74, 100]
+        primes = trial_division_primes_in_class(2, 1, 100).tolist()
+        with mock.patch.object(gapscan, "_BATCH", 3):
+            got = brun_growth(2, ResidueClass(2, 1), xs)
+        assert [(g.partial_sum, g.pair_count) for g in got] == \
+            concatenated_growth(primes, 2, xs)
+        assert [g.pair_count for g in got] == [0, 0, 1, 1, 7, 8, 8, 8]
 
 
 class TestBrunEstimate:

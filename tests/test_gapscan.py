@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgaps import brun, gapscan
+from apgaps import brun, gapscan, sieve
 from apgaps.gapscan import (
     GapEvent,
     ScanResult,
@@ -196,6 +196,35 @@ class TestPairStreamDifferential:
         assert got == [(2, 23, 21, 1, 1), (23, 37, 14, None, 2)]
         assert _event_tuples(res) == _naive_tuples(7, 2, 10**4)
         assert gap_size_counts(ResidueClass(7, 2), 10**4)[21] == 1
+
+
+class TestSieveContract:
+    """Every prime the pipelines see comes through sieve.sieve_interval.
+
+    The benchmark's traced runs count the primes that sieve_interval returns
+    and require the total to be pi(x); a sieve path that bypasses it fails.
+    """
+
+    PI_1E6 = 78_498
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", [
+        lambda t: scan_many(6, [1], 10**6, threads=t),
+        lambda t: scan_many(211, range(1, 211), 10**6, threads=t),
+        lambda t: brun.brun_growth(2, ResidueClass(2, 1), [10**6], threads=t),
+    ], ids=["scan-q6", "scan-q211-all", "brun-twin"])
+    def test_sieved_primes_are_pi_x(self, run, threads, monkeypatch):
+        counted = []
+        interval = sieve.sieve_interval
+
+        def counting(*args, **kwargs):
+            primes = interval(*args, **kwargs)
+            counted.append(len(primes))
+            return primes
+
+        monkeypatch.setattr(sieve, "sieve_interval", counting)
+        run(threads)
+        assert sum(counted) == self.PI_1E6
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apgaps import sieve
 from apgaps.numutil import log_integral, totient
 from apgaps.sieve import (
     MAX_SIEVE_BOUND,
@@ -182,6 +183,79 @@ class TestDifferential:
         got = [p for seg in segs for p in seg.primes.tolist()]
         want = trial_division_primes_in_class(cls.q, cls.r, hi)
         assert got == [p for p in want.tolist() if p >= lo]
+
+
+PERIOD = 2 * 3 * 5 * 7 * 11 * 13  # the numbers one pre-sieve pattern spans
+WIDE = 10**6  # lo bound for wide intervals, so trial division stays cheap
+
+
+def check_against_trial_division(lo, hi, with_base):
+    base = base_primes(math.isqrt(hi)) if with_base else None
+    assert sieve_interval(lo, hi, base).tolist() == trial_division(lo, hi)
+
+
+def first_strike(o0, p):
+    """Mask index of p's first odd multiple >= max(p^2, o0), in Python ints."""
+    m = -(-max(p * p, o0) // p) * p
+    if m % 2 == 0:
+        m += p
+    return (m - o0) // 2
+
+
+class TestPreSievedMask:
+    """The pre-sieved mask and its vectorized first strikes.
+
+    Intervals cross several pattern periods, start at and next to their
+    bounds, and hold the pre-sieved primes 3, 5, 7, 11 and 13 themselves.
+    """
+
+    def test_every_small_interval(self):
+        for lo in range(1, 61):
+            for hi in range(lo, 61):
+                assert sieve_interval(lo, hi).tolist() == [p for p in SMALL if lo <= p <= hi]
+
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.integers(1, WIDE), width=st.integers(2 * PERIOD, 10**5),
+           with_base=st.booleans())
+    def test_wide_intervals(self, lo, width, with_base):
+        check_against_trial_division(lo, lo + width, with_base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, WIDE // PERIOD), shift=st.integers(-2, 2),
+           width=st.one_of(widths, st.integers(PERIOD, 10**5)), with_base=st.booleans())
+    def test_starts_at_period_bounds(self, k, shift, width, with_base):
+        check_against_trial_division(k * PERIOD + shift, k * PERIOD + shift + width,
+                                     with_base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(WIDE // PERIOD, 10**10 // PERIOD), shift=st.integers(-2, 2),
+           width=widths, with_base=st.booleans())
+    def test_starts_at_far_period_bounds(self, k, shift, width, with_base):
+        check_against_trial_division(k * PERIOD + shift, k * PERIOD + shift + width,
+                                     with_base)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.sampled_from([1, 2, 3, 9, 13, 15, 17]),
+           width=st.one_of(widths, st.integers(0, 10**5)), with_base=st.booleans())
+    def test_low_starts(self, lo, width, with_base):
+        check_against_trial_division(lo, lo + width, with_base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(o0=st.one_of(st.integers(0, 10**6),
+                        st.integers(0, 10**12).map(lambda k: MAX_SIEVE_BOUND // 2 - k)
+                        ).map(lambda j: 2 * j + 1),
+           ps=st.lists(st.integers(8, math.isqrt(MAX_SIEVE_BOUND) // 2).map(
+               lambda j: 2 * j + 1), min_size=1, max_size=20))
+    def test_first_strikes_exact(self, o0, ps):
+        got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
+        assert got.tolist() == [first_strike(o0, p) for p in ps]
+
+    def test_first_strikes_at_the_ceiling(self):
+        root = math.isqrt(MAX_SIEVE_BOUND)  # odd, so root^2 is the last odd square
+        ps = [17, root - 2, root]
+        for o0 in (MAX_SIEVE_BOUND, MAX_SIEVE_BOUND - 2, root * root, root * root + 2):
+            got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
+            assert got.tolist() == [first_strike(o0, p) for p in ps]
 
 
 class TestSegmentType:
