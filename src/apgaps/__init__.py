@@ -40,7 +40,7 @@ from .gapscan import (
     tau,
 )
 from .numutil import log_integral, log_integral_many, totient, twin_prime_constant
-from .sieve import PrimeSegment, ResidueClass, iter_prime_segments, primes_in_class
+from .sieve import PrimeSegment, ResidueClass, iter_prime_segments
 from .trend import (
     TrendParams,
     avg_gap,
@@ -92,7 +92,6 @@ __all__ = [
     "maximal_trend",
     "mean_singular_product",
     "predict_first_occurrence",
-    "primes_in_class",
     "rescale",
     "rescale_many",
     "scan",

@@ -18,7 +18,7 @@ import numpy as np
 from . import sieve as sievemod
 from . import trend
 from .gapscan import _class_pairs
-from .numutil import CONSTANTS, lcm2, log_integral, totient
+from .numutil import CONSTANTS, _prime_factors, lcm2, log_integral, totient
 from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
 
 
@@ -39,31 +39,14 @@ class BrunSum:
     pair_count: int
 
 
-def _odd_prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    if m % 2 == 0:
-        while m % 2 == 0:
-            m //= 2
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def singular_product(d: int) -> float:
     """S(d) = prod over odd primes p | d of (p-1)/(p-2)."""
     if d < 1:
         raise ValueError("d must be positive")
     out = 1.0
-    for p in _odd_prime_factors(d):
-        out *= (p - 1) / (p - 2)
+    for p in _prime_factors(d):
+        if p > 2:
+            out *= (p - 1) / (p - 2)
     return out
 
 
@@ -77,7 +60,9 @@ def mean_singular_product(q: int, r: int) -> SingularMean:
     if q < 1 or not 0 <= r < q:
         raise ValueError("need q >= 1 and 0 <= r < q")
     mult = Fraction(1)
-    for p in _odd_prime_factors(q):
+    for p in _prime_factors(q):
+        if p == 2:
+            continue
         if r % p == 0:
             mult *= Fraction(p, p - 1)
         else:
@@ -190,8 +175,9 @@ def brun_partial_sum(d: int, cls: ResidueClass, x: int, *, threads: int = 1) -> 
 def _c2_amplitude(q: int) -> float:
     # C2 = c / s with c = lcm(2, q) and s = Pi2^{-1} prod_{p | q, p > 2} p/(p-1)
     s = CONSTANTS.pi2_inv
-    for p in _odd_prime_factors(q):
-        s *= p / (p - 1)
+    for p in _prime_factors(q):
+        if p > 2:
+            s *= p / (p - 1)
     return lcm2(q) / s
 
 

@@ -55,15 +55,6 @@ def gumbel_pdf(x, scale: float, mode: float):
     return out if out.ndim else float(out)
 
 
-def gumbel_ppf(p, scale: float = 1.0, mode: float = 0.0):
-    """Inverse cdf; handy for seeded synthetic sampling."""
-    arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("p must be in (0, 1)")
-    out = mode - scale * np.log(-np.log(arr))
-    return out if out.ndim else float(out)
-
-
 def gev_cdf(x, scale: float, location: float, shape: float):
     z = (np.asarray(x, dtype=np.float64) - location) / scale
     if abs(shape) < 1e-12:

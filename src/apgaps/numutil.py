@@ -1,4 +1,4 @@
-"""Shared numeric primitives: totient, lcm(2,q), li(x), twin prime constant.
+"""Shared numeric primitives: prime factors, totient, lcm(2,q), li(x), twin prime constant.
 
 Everything else in the package leans on these; the only intra-package
 import is ``sieve.base_primes``, and sieve imports nothing from the package.
@@ -37,23 +37,30 @@ class NumConstants:
 CONSTANTS = NumConstants()
 
 
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def totient(q: int) -> int:
-    """Euler's phi by trial-division factorization."""
+    """Euler's phi: q times (1 - 1/p) over the primes p dividing q."""
     if q < 1:
         raise ValueError("totient needs a positive integer")
     if q > UINT64_MAX:
         raise OverflowError("totient argument exceeds 64-bit range")
     result = q
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
+    for p in _prime_factors(q):
+        result -= result // p
     return result
 
 

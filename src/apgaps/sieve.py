@@ -20,6 +20,7 @@ typically wants many residues of the same modulus from one pass anyway.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -147,6 +148,14 @@ def _first_strikes(o0: int, ps: np.ndarray) -> np.ndarray:
     return np.maximum(t >> 1, (ps * ps - o0) >> 1)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _segment_bounds(lo: int, hi: int, seg_len: int) -> list[tuple[int, int]]:
     return [(a, min(a + seg_len - 1, hi)) for a in range(lo, hi + 1, seg_len)]
 
@@ -162,10 +171,14 @@ def iter_prime_segments(
 
     threads > 1 sieves segments concurrently but always yields them in
     ascending order, so every consumer sees the same deterministic stream.
+    Workers are capped at the CPUs the process can use, and at most
+    workers + 2 sieved segments are held at once, so memory stays bounded
+    whatever threads asks for.
     """
     _check_range(lo, hi)
     if seg_len < 2:
         raise ValueError("segment length too small")
+    threads = min(threads, _usable_cpus())
     base = base_primes(math.isqrt(hi))
     bounds = _segment_bounds(lo, hi, seg_len)
     if threads <= 1 or len(bounds) == 1:
@@ -201,20 +214,6 @@ def iter_class_segments(
         yield PrimeSegment(seg.lo, seg.hi, pr.compress(pr - pr // cls.q * cls.q == cls.r))
 
 
-def primes_in_class(
-    cls: ResidueClass,
-    lo: int,
-    hi: int,
-    *,
-    seg_len: int = DEFAULT_SEGMENT_LENGTH,
-    threads: int = 1,
-) -> Iterator[int]:
-    """Ordered stream of primes in the class, as Python ints."""
-    for seg in iter_class_segments(cls, lo, hi, seg_len=seg_len, threads=threads):
-        for p in seg.primes.tolist():
-            yield p
-
-
 def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:
     """pi(x; q, r): number of primes <= x in the class."""
     if x < 1:
@@ -230,14 +229,3 @@ def count_all_primes(x: int, *, threads: int = 1) -> int:
     if x < 1:
         return 0
     return sum(len(seg.primes) for seg in iter_prime_segments(1, x, threads=threads))
-
-
-def residue_counts(q: int, x: int, *, threads: int = 1) -> np.ndarray:
-    """Counts of primes <= x in every residue class mod q (index = residue)."""
-    if q < 1 or x < 1:
-        raise ValueError("need q >= 1 and x >= 1")
-    counts = np.zeros(q, dtype=np.int64)
-    for seg in iter_prime_segments(1, x, threads=threads):
-        if len(seg.primes):
-            counts += np.bincount(seg.primes % q, minlength=q)
-    return counts

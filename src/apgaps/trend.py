@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numutil import lcm2, log_integral, log_integral_many, totient
+from .numutil import _prime_factors, lcm2, log_integral, log_integral_many, totient
 from .sieve import ResidueClass
 
 E = math.e
@@ -52,21 +52,6 @@ class PredictorBounds:
 DEFAULT_PREDICTOR_BOUNDS = PredictorBounds()
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def default_params(q: int) -> TrendParams:
     """Built-in trend parameters for modulus q.
 
@@ -80,9 +65,8 @@ def default_params(q: int) -> TrendParams:
     if q == 2:
         return TrendParams(b1=0.0, b2=2.7, c0=3.0, c1=1.58)
     lg = math.log(lcm2(q))
-    covered = (q >= 5 and _is_prime(q)) or (
-        q >= 10 and q % 2 == 0 and (q // 2) % 2 == 1 and _is_prime(q // 2)
-    )
+    factors = _prime_factors(q)
+    covered = (q >= 5 and factors == [q]) or (q >= 10 and factors == [2, q // 2])
     return TrendParams(
         b1=4.0,
         b2=2.7,
@@ -130,20 +114,6 @@ def baseline_trend(q: int, x: float) -> float:
     """T0(q, x) = a log(li(x)/a); defined while li(x)/a > 1."""
     _check_domain(q, x)
     return _baseline_trend(q, totient(q), x, log_integral(x))
-
-
-def baseline_trend_expanded(q: int, x: float) -> float:
-    """Algebraically equal form (x phi/li x)(2 log(li x/phi) - log(x/phi))."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if not x > 2:
-        raise ValueError("needs x > 2")
-    phi = totient(q)
-    li_x = log_integral(x)
-    val = (x * phi / li_x) * (2.0 * math.log(li_x / phi) - math.log(x / phi))
-    if val <= 0:
-        raise ValueError(f"baseline trend undefined at q={q}, x={x}")
-    return val
 
 
 def maximal_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:

@@ -104,9 +104,28 @@ def ks_bruteforce(samples, cdf) -> float:
     return best
 
 
+def gumbel_ppf(p, scale: float = 1.0, mode: float = 0.0):
+    """Gumbel inverse cdf mode - scale log(-log p), for p in (0, 1)."""
+    arr = np.asarray(p, dtype=np.float64)
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        raise ValueError("p must be in (0, 1)")
+    out = mode - scale * np.log(-np.log(arr))
+    return out if out.ndim else float(out)
+
+
 def gumbel_samples(rng: np.random.Generator, n: int, scale: float, mode: float) -> np.ndarray:
     u = rng.uniform(size=n)
     return mode - scale * np.log(-np.log(u))
+
+
+def baseline_trend_expanded(q: int, x: float) -> float:
+    """T0(q, x) in the algebraically equal form (x phi/li x)(2 log(li x/phi) - log(x/phi)).
+
+    phi is counted and li(x) is scalar_li, so nothing here comes from the package.
+    """
+    phi = _totient(q)
+    li_x = scalar_li(x)
+    return (x * phi / li_x) * (2.0 * math.log(li_x / phi) - math.log(x / phi))
 
 
 def singular_product_direct(d: int) -> float:

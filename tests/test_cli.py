@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from apgaps import evstats, trend
+from apgaps.brun import brun_partial_sum
 from apgaps.cli import (
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
@@ -220,6 +221,30 @@ class TestSmallCommands:
         rows = list(csv.DictReader((tmp_path / "brun_d2_q2_r1.csv").open()))
         sums = [float(r["partial_sum"]) for r in rows]
         assert sums == sorted(sums)
+
+    @pytest.mark.parametrize("x_max", [3, 50, 99])
+    def test_brun_stops_at_small_x_max(self, x_max, tmp_path, capsys):
+        rc = run("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", str(x_max),
+                 "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        want = brun_partial_sum(2, ResidueClass(2, 1), x_max)
+        assert (out["partial_sum"], out["pair_count"]) == (want.partial_sum, want.pair_count)
+        rows = list(csv.DictReader((tmp_path / "brun_d2_q2_r1.csv").open()))
+        assert rows and max(int(r["x"]) for r in rows) == x_max
+
+    @pytest.mark.parametrize("argv,option", [
+        (("fit", "--q", "6", "--window", "1e3:1e5", "--bins", "0"), "bins"),
+        (("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", "1e4", "--points", "-1"),
+         "points"),
+        (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "-5"), "empirical-n"),
+        (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "0"), "empirical-n"),
+    ])
+    def test_bad_numeric_option_exit_2(self, argv, option, tmp_path, capsys):
+        assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and option in captured.err
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
     @pytest.mark.parametrize("x", ["inf", "nan", "0", "2"])
     def test_probe_rejects_bad_x(self, x, capsys):

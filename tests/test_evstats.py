@@ -12,11 +12,10 @@ from apgaps.evstats import (
     gev_cdf,
     gumbel_cdf,
     gumbel_pdf,
-    gumbel_ppf,
     ks_statistic,
 )
 
-from _oracles import gumbel_samples, ks_bruteforce
+from _oracles import gumbel_ppf, gumbel_samples, ks_bruteforce
 
 
 class TestHistogram:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from apgaps.sieve import (
     base_primes,
     count_all_primes,
     iter_class_segments,
+    iter_prime_segments,
     prime_count,
-    primes_in_class,
-    residue_counts,
     sieve_interval,
 )
 
@@ -24,7 +24,7 @@ from _oracles import small_primes, trial_division_primes_in_class
 
 
 def collect(cls, lo, hi, **kw):
-    return [p for p in primes_in_class(cls, lo, hi, **kw)]
+    return [p for seg in iter_class_segments(cls, lo, hi, **kw) for p in seg.primes.tolist()]
 
 
 class TestResidueClass:
@@ -113,7 +113,9 @@ class TestPrimeCount:
     def test_pnt_for_aps(self):
         # equidistribution sanity at x = 1e8 for q = 211, every coprime r
         x = 10**8
-        counts = residue_counts(211, x)
+        counts = np.zeros(211, dtype=np.int64)
+        for seg in iter_prime_segments(1, x):
+            counts += np.bincount(seg.primes % 211, minlength=211)
         expect = log_integral(x) / totient(211)
         for r in range(1, 211):
             assert abs(counts[r] - expect) / expect < 0.05
@@ -256,6 +258,41 @@ class TestPreSievedMask:
         for o0 in (MAX_SIEVE_BOUND, MAX_SIEVE_BOUND - 2, root * root, root * root + 2):
             got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
             assert got.tolist() == [first_strike(o0, p) for p in ps]
+
+
+class TestBoundedWorkers:
+    """threads=64 starts no more workers than the process has CPUs.
+
+    49 segments of 2^11 numbers, so even an uncapped pool starts at most 49
+    threads. Peaks are sampled in the workers and at every yielded segment;
+    a segment is in flight from the start of its sieving until it is yielded.
+    """
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_threads_and_segments_in_flight(self, cpus, monkeypatch):
+        if cpus is not None:
+            monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
+        cap = sieve._usable_cpus()
+        inner = sieve.sieve_interval
+        started = [0]
+        peak = {"threads": 0, "in_flight": 0}
+
+        def traced(*args):
+            started[0] += 1
+            peak["threads"] = max(peak["threads"], threading.active_count())
+            return inner(*args)
+
+        monkeypatch.setattr(sieve, "sieve_interval", traced)
+        before = threading.active_count()
+        got = []
+        for done, seg in enumerate(iter_prime_segments(1, 10**5, seg_len=2**11, threads=64), 1):
+            peak["threads"] = max(peak["threads"], threading.active_count())
+            peak["in_flight"] = max(peak["in_flight"], started[0] - done)
+            got.extend(seg.primes.tolist())
+        assert got == small_primes(10**5)
+        assert started[0] == 49
+        assert peak["threads"] - before <= (cap if cap > 1 else 0)
+        assert peak["in_flight"] <= cap + 2
 
 
 class TestSegmentType:

@@ -12,7 +12,6 @@ from apgaps.trend import (
     TrendParams,
     avg_gap,
     baseline_trend,
-    baseline_trend_expanded,
     default_params,
     first_occurrence_bounds,
     fo_trend,
@@ -23,6 +22,8 @@ from apgaps.trend import (
     rescale_many,
     trend_points,
 )
+
+from _oracles import baseline_trend_expanded, small_primes
 
 E_HALF_INV = math.exp(-0.5)
 
@@ -146,6 +147,14 @@ class TestDefaultParams:
             p = default_params(q)
             assert p.extrapolated
             assert p.source == "default_formula"
+
+    def test_covered_family(self):
+        # fitted for primes q >= 5 and q = 2p with p an odd prime, q >= 10
+        primes = set(small_primes(3000))
+        for q in range(3, 3000):
+            want = (q >= 5 and q in primes) or (
+                q >= 10 and q % 2 == 0 and (q // 2) % 2 == 1 and q // 2 in primes)
+            assert default_params(q).extrapolated is not want, q
 
     def test_small_cases_not_covered_by_formula(self):
         # q=3 is prime but below 5; q=4 is an even semiprime but below 10
