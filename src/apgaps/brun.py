@@ -148,13 +148,12 @@ def brun_growth(
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
     total = 0.0
     count = 0
-    for _, st, en in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads,
-                                  seg_len=DEFAULT_SEGMENT_LENGTH):
-        sel = en - st == d
-        en = en.compress(sel)
+    for _, gaps, ends in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads,
+                                      seg_len=DEFAULT_SEGMENT_LENGTH):
+        en = ends.compress(gaps == d)
         if not en.size:
             continue
-        terms = 1.0 / st.compress(sel) + 1.0 / en
+        terms = 1.0 / (en - d) + 1.0 / en  # en - d: the same int64 start primes
         terms[0] += total  # cumsum adds in order: as if over the whole run
         csum = np.cumsum(terms)
         while len(marks) < len(xs) and xs[len(marks)] < en[-1]:

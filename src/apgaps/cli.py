@@ -105,8 +105,11 @@ def _trend_params(args: argparse.Namespace) -> trend.TrendParams:
                  if getattr(args, k) is not None}
     if not overrides:
         return base
-    return dataclasses.replace(base, source="user_supplied", extrapolated=False,
-                               **overrides)
+    try:
+        return dataclasses.replace(base, source="user_supplied", extrapolated=False,
+                                   **overrides)
+    except ValueError as exc:  # b1 < 0 or b2 <= 0
+        raise UsageError(str(exc)) from exc
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -138,6 +141,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rs = _residues(args.r, args.q)
     x_max = _parse_x(args.x_max)
     classes = _classes(args.q, rs)
+    params = _trend_params(args)
     _check_budget(args, x_max)
     results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
     out = _outdir(args)
@@ -152,7 +156,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     ends = sorted({ev.end_prime for res in ordered for ev in res.events})
     with open(os.path.join(out, f"trend_q{args.q}.csv"), "w", newline="") as fh:
         fh.write("p,t0,tf,phi_log2\n")
-        for p, t0, tf in trend.trend_points(args.q, ends, _trend_params(args)):
+        for p, t0, tf in trend.trend_points(args.q, ends, params):
             fh.write(f"{p},{t0:.10g},{tf:.10g},{phi * math.log(p) ** 2:.10g}\n")
     summary = {
         "q": args.q,
@@ -188,6 +192,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     x_max = window_hi if args.x_max is None else _parse_x(args.x_max)
     if args.bins < 1:
         raise UsageError("bins must be >= 1")
+    params = _trend_params(args)
     out = _outdir(args)
     if args.samples_csv:
         u = _load_samples_csv(args.samples_csv)
@@ -195,7 +200,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     else:
         classes = _classes(args.q, rs)
         _check_budget(args, x_max)
-        params = _trend_params(args)
         results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
         # (r, end_prime, size, is_maximal), merged in residue order
         picked = sorted((c.r, ev.end_prime, ev.size, ev.is_maximal)
@@ -272,6 +276,8 @@ def cmd_brun(args: argparse.Namespace) -> int:
         raise UsageError("brun wants exactly one residue, e.g. --r 1")
     rs = _residues(args.r, args.q)
     x_max = _parse_x(args.x_max)
+    if x_max < 2:  # no pair ends below 2, and the estimate needs x > 1
+        raise UsageError("brun needs x-max >= 2")
     if args.d < 1:
         raise UsageError("d must be positive")
     if len(rs) != 1:

@@ -7,12 +7,13 @@ also a first occurrence, so the event list holds first occurrences with a
 maximal flag.
 
 All requested classes come from one pass of the segment sieve, turned into
-one stream of consecutive class-prime pairs. New gap sizes are found by one
-gather per batch of pairs from a boolean seen table with a row per class and
-a column per gap d / lcm(2, q). Its width doubles whenever a wider gap
-appears, so it stays small: for q = 211 up to 1e9 the widest gap, 66,254,
-is column 157. Only the few pairs not yet in the table reach the Python
-event loop.
+one stream of consecutive class-prime pairs: per batch, the number of pairs
+of each class, their gaps and their end primes. New gap sizes are found by
+one ``take`` per batch from a flat, row-major boolean table of the sizes not
+yet seen, a row per class and a column per gap d / lcm(2, q). Its width, a
+power of two, doubles whenever a wider gap appears, so it stays small: for
+q = 211 up to 1e9 the widest gap, 66,254, is column 157. Only the few pairs
+still unseen in the table reach the Python event loop.
 """
 
 from __future__ import annotations
@@ -66,13 +67,15 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
                  seg_len: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Consecutive prime pairs of the classes rs (ascending) mod q, up to hi.
 
-    Yields (rows, starts, ends) for each batch of at most _BATCH sieved
-    primes: pair i joins the consecutive primes starts[i] < ends[i] of the
-    class rs[rows[i]]. Pairs come grouped by row, each row in ascending
-    order, and a row's first pair in a batch starts at its last prime of the
-    batches before. A class's first prime starts no pair, except 2: the pair
-    from 2, the only gap that is not a multiple of lcm(2, q), is yielded on
-    its own, ahead of the rest of its batch.
+    Yields (counts, gaps, ends) for each batch of at most _BATCH sieved
+    primes: the pairs come grouped by row, counts[i] of them for the class
+    rs[i], each row in ascending order, and pair j joins the consecutive
+    class primes ends[j] - gaps[j] < ends[j]. A row's first pair in a batch
+    starts at its last prime of the batches before. A class's first prime
+    starts no pair, except 2: the pair from 2, the only gap that is not a
+    multiple of lcm(2, q), is yielded on its own, ahead of the rest of its
+    batch. No rows or starts are built; a consumer that needs the start
+    primes takes ends - gaps on the pairs it keeps.
     """
     k = len(rs)
     # residues < q fit a narrow type, which numpy's stable sort radix-sorts
@@ -83,13 +86,17 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
     segments = sieve.iter_prime_segments(1, hi, seg_len=seg_len, threads=threads)
     for primes in (seg.primes[i : i + _BATCH] for seg in segments
                    for i in range(0, seg.primes.size, _BATCH)):
-        # p - p // q * q is p % q for p >= 0 at half numpy's cost, and compress
-        # is several times faster than boolean indexing on a half-true mask
+        # p & (q - 1) and p - p // q * q are p % q for p >= 0 at a fraction of
+        # numpy's cost, and compress is several times faster than boolean
+        # indexing on a half-true mask
+        residues = primes & (q - 1) if q & (q - 1) == 0 else primes - primes // q * q
         if k == 1:
-            ends = primes.compress(primes - primes // q * q == rs[0])
-            counts = np.array([ends.size])
+            hit = residues == rs[0]
+            n = int(np.count_nonzero(hit))
+            ends = primes if n == primes.size else primes.compress(hit)
+            counts = np.array([n])
         else:
-            residues = (primes - primes // q * q).astype(key_type)
+            residues = residues.astype(key_type)
             order = np.argsort(residues, kind="stable")  # keeps each class ascending
             sorted_res = residues[order]
             los = np.searchsorted(sorted_res, rs_arr, side="left")
@@ -99,30 +106,35 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
                 order = order[np.arange(n) + np.repeat(los - (np.cumsum(counts) - counts),
                                                        counts)]
             ends = primes[order]
-        if not ends.size:
+        if not n:
             continue
         has = np.flatnonzero(counts)
         heads = (np.cumsum(counts) - counts)[has]  # each nonempty row's first position
         prev = last[has]
         last[has] = ends[heads + counts[has] - 1]
-        starts = np.empty_like(ends)
-        starts[1:] = ends[:-1]
-        starts[heads] = prev
-        rows = np.repeat(np.arange(k), counts)
-        drop = heads[prev == 0]
+        gaps = np.empty_like(ends)
+        np.subtract(ends[1:], ends[:-1], out=gaps[1:])
+        gaps[heads] = ends[heads] - prev
+        firsts = prev == 0
+        drop = heads[firsts]
+        counts[has[firsts]] -= 1
         if two_open:
-            two = np.flatnonzero(starts == 2)
+            two = np.flatnonzero(ends - gaps == 2)
             if two.size:
                 two_open = False
-                yield rows[two], starts[two], ends[two]
+                row = rs.index(2)
+                counts[row] -= 1
+                alone = np.zeros_like(counts)
+                alone[row] = 1
+                yield alone, gaps[two], ends[two]
                 drop = np.append(drop, two)
         if drop.size:
-            keep = np.ones(ends.size, dtype=bool)
+            keep = np.ones(n, dtype=bool)
             keep[drop] = False
-            rows, starts, ends = rows.compress(keep), starts.compress(keep), ends.compress(keep)
+            gaps, ends = gaps.compress(keep), ends.compress(keep)
             if not ends.size:
                 continue
-        yield rows, starts, ends
+        yield counts, gaps, ends
 
 
 def scan_many(
@@ -140,30 +152,35 @@ def scan_many(
         raise ValueError("x_max must be positive")
     phi = totient(q)
     step = lcm2(q)
+    k = len(rs)
     events: list[list[GapEvent]] = [[] for _ in rs]
-    running_max = [0] * len(rs)
-    n_max = [0] * len(rs)
-    seen = np.zeros((len(rs), 1), dtype=bool)  # seen[row, d // step]
-    for rows, starts, ends in _class_pairs(q, rs, x_max, threads=threads, seg_len=seg_len):
-        g = ends - starts
-        if starts[0] == 2:
+    running_max = [0] * k
+    n_max = [0] * k
+    # unseen[row << shift | g]: class rs[row] has had no gap g * step yet
+    shift = 0
+    unseen = np.ones(k, dtype=bool)
+    for counts, gaps, ends in _class_pairs(q, rs, x_max, threads=threads, seg_len=seg_len):
+        if ends[0] - gaps[0] == 2:
             # the odd gap from 2 opens its class's events and stays out of
             # the table, where d // step could alias an even gap
-            fresh = [0]
+            fresh, fresh_rows = [0], [rs.index(2)]
         else:
-            g //= step
-            width = 1 << int(g.max()).bit_length()  # the power of two above every g
-            if width > seen.shape[1]:
-                seen = np.pad(seen, ((0, 0), (0, width - seen.shape[1])))
-            cand = np.flatnonzero(~seen[rows, g])
+            key = gaps // step
+            top = int(key.max()).bit_length()  # 2^top is the power of two above every g
+            if top > shift:
+                unseen = np.pad(unseen.reshape(k, -1), ((0, 0), (0, (1 << top) - (1 << shift))),
+                                constant_values=True).ravel()
+                shift = top
+            key |= np.repeat(np.arange(k) << shift, counts)
+            cand = np.flatnonzero(unseen.take(key))
             if not cand.size:
                 continue
-            _, first = np.unique(rows[cand] * seen.shape[1] + g[cand], return_index=True)
+            _, first = np.unique(key[cand], return_index=True)
             fresh = np.sort(cand[first])  # time order within each class
-            seen[rows[fresh], g[fresh]] = True
-        for row, s, e in zip(rows[fresh].tolist(), starts[fresh].tolist(),
-                             ends[fresh].tolist()):
-            v = e - s
+            fresh_key = key[fresh]
+            unseen[fresh_key] = False
+            fresh_rows = (fresh_key >> shift).tolist()
+        for row, e, v in zip(fresh_rows, ends[fresh].tolist(), gaps[fresh].tolist()):
             is_max = v > running_max[row]
             if is_max:
                 running_max[row] = v
@@ -171,7 +188,7 @@ def scan_many(
             evs = events[row]
             evs.append(
                 GapEvent(
-                    start_prime=s,
+                    start_prime=e - v,
                     end_prime=e,
                     size=v,
                     is_maximal=is_max,
@@ -201,12 +218,12 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
     step = lcm2(cls.q)
     counts: dict[int, int] = {}
     total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * step
-    for _, starts, ends in _class_pairs(cls.q, [cls.r], x, threads=threads,
-                                        seg_len=DEFAULT_SEGMENT_LENGTH):
-        if starts[0] == 2:  # the odd gap from 2
-            counts[int(ends[0]) - 2] = 1
+    for _, gaps, ends in _class_pairs(cls.q, [cls.r], x, threads=threads,
+                                      seg_len=DEFAULT_SEGMENT_LENGTH):
+        if ends[0] - gaps[0] == 2:  # the odd gap from 2
+            counts[int(gaps[0])] = 1
             continue
-        per_g = np.bincount((ends - starts) // step, minlength=total.size)
+        per_g = np.bincount(gaps // step, minlength=total.size)
         per_g[: total.size] += total
         total = per_g
     counts.update((g * step, c) for g, c in enumerate(total.tolist()) if c)
@@ -216,12 +233,13 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
 def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
     """Exact count of gaps of size d with end prime <= x.
 
-    Inadmissible sizes (d odd, or q not dividing d) short-circuit to 0 with
-    no sieving.
+    Inadmissible sizes short-circuit to 0 with no sieving: q not dividing d,
+    or d odd in a class without the prime 2. The class 2 mod q (q odd) has
+    one odd gap, the one from 2.
     """
     if d < 1 or x < 1:
         raise ValueError("need d >= 1 and x >= 1")
-    if d % 2 or d % cls.q:
+    if d % cls.q or (d % 2 and cls.r != 2):
         return 0
     return gap_size_counts(cls, x, threads=threads).get(d, 0)
 

@@ -239,12 +239,20 @@ class TestSmallCommands:
          "points"),
         (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "-5"), "empirical-n"),
         (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "0"), "empirical-n"),
+        (("scan", "--q", "6", "--r", "1", "--x-max", "1000", "--b2", "0"), "b2"),
+        (("fit", "--q", "6", "--window", "1e3:1e5", "--b1", "-1"), "b1"),
+        (("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", "1"), "x-max"),
     ])
     def test_bad_numeric_option_exit_2(self, argv, option, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.out == "" and option in captured.err
         assert not (tmp_path / "out").exists()  # rejected before any work
+
+    def test_bad_trend_override_writes_no_scan_output(self, tmp_path, capsys):
+        assert run("scan", "--q", "6", "--r", "1", "--x-max", "1000", "--b2", "0",
+                   "--out", str(tmp_path)) == EXIT_BAD_INPUT
+        assert not list(tmp_path.glob("events_*")) and not list(tmp_path.glob("trend_*"))
 
     @pytest.mark.parametrize("x", ["inf", "nan", "0", "2"])
     def test_probe_rejects_bad_x(self, x, capsys):

@@ -80,7 +80,7 @@ EXITS = [
     ("scan --q 6 --r 1 --x-max x", 2, True),
     ("scan --q 6 --r 1 --x-max 1e2", 0, False),
     ("brun --q 2 --r 1 --d 2 --x-max 0", 2, True),
-    ("brun --q 2 --r 1 --d 2 --x-max 1", 4, True),
+    ("brun --q 2 --r 1 --d 2 --x-max 1", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --x-max 1.5", 2, True),
     ("scan --q 6 --r 1 --x-max 100 --budget 1.5", 2, True),
     ("scan --q 6 --r 1 --x-max 100 --budget 0", 2, True),
@@ -127,7 +127,6 @@ EXITS = [
     ("scan --q 6 --r 1 --x-max 100 --threads -4", 0, False),
     # computation errors
     ("fit --q 2 --samples-csv missing.csv", 4, True),
-    ("scan --q 6 --r 1 --x-max 100 --b2 0", 4, True),
     # numeric options that reach the computation
     ("fit --q 6 --window 1e3:1e5 --bins 0", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --bins -3", 2, True),  # was 4
@@ -135,6 +134,8 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points 0", 0, False),
     ("meanprod --q 3 --r 1 --empirical-n -5", 2, True),  # was 4
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
+    ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4
+    ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),
 ]
 
 

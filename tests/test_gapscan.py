@@ -127,10 +127,12 @@ class TestPairStreamDifferential:
         batch = data.draw(st.integers(1, 64), label="batch")
         got = defaultdict(list)
         with mock.patch.object(gapscan, "_BATCH", batch):
-            for rows, starts, ends in gapscan._class_pairs(q, rs, x, threads=threads,
+            for counts, gaps, ends in gapscan._class_pairs(q, rs, x, threads=threads,
                                                            seg_len=seg_len):
-                assert rows.size and np.all(np.diff(rows) >= 0)
-                for row, s, e in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+                assert counts.size == len(rs) and np.all(counts >= 0)
+                assert counts.sum() == ends.size == gaps.size > 0
+                rows = np.repeat(np.arange(len(rs)), counts)
+                for row, s, e in zip(rows.tolist(), (ends - gaps).tolist(), ends.tolist()):
                     got[rs[row]].append((s, e))
         for r in rs:
             primes = trial_division_primes_in_class(q, r, x).tolist()
@@ -186,6 +188,34 @@ class TestPairStreamDifferential:
             assert bs.pair_count == len(hits)
             assert bs.partial_sum == pytest.approx(
                 math.fsum(1 / s + 1 / e for s, e in hits), rel=1e-12, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.sampled_from([2, 4, 8, 16, 32]), x=st.integers(1, 30_000), data=st.data())
+    def test_power_of_two_moduli(self, q, x, data):
+        # residues as p & (q - 1); for q = 2 every batch after the one
+        # holding 2 lies wholly in the class and is used without compress
+        rs = list(range(1, q, 2))
+        r = data.draw(st.sampled_from(rs), label="r")
+        primes = trial_division_primes_in_class(q, r, x).tolist()
+        pairs = list(zip(primes, primes[1:]))
+        d = data.draw(st.sampled_from(sorted({e - s for s, e in pairs} | {q})), label="d")
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        threads = data.draw(st.integers(1, 3), label="threads")
+        batch = data.draw(st.integers(1, 64), label="batch")
+        cls = ResidueClass(q, r)
+        with mock.patch.object(gapscan, "_BATCH", batch), \
+                mock.patch.object(gapscan, "DEFAULT_SEGMENT_LENGTH", seg_len), \
+                mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            counts = gap_size_counts(cls, x, threads=threads)
+            (bs,) = brun.brun_growth(d, cls, [x], threads=threads)
+            many = scan_many(q, rs, x, seg_len=seg_len, threads=threads)
+        assert counts == Counter(e - s for s, e in pairs)
+        hits = [(s, e) for s, e in pairs if e - s == d]
+        assert bs.pair_count == len(hits)
+        assert bs.partial_sum == pytest.approx(
+            math.fsum(1 / s + 1 / e for s, e in hits), rel=1e-12, abs=0)
+        for rr in rs:
+            assert _event_tuples(many[rr]) == _naive_tuples(q, rr, x)
 
     def test_odd_gap_from_two_is_its_own_event(self):
         # 2 -> 23 (d = 21) opens 2 mod 7; 21 // 14 == 14 // 14, yet the next
@@ -274,6 +304,18 @@ class TestTau:
     @pytest.mark.parametrize("q,r,d,x", [(2, 1, 6, 10**4), (6, 1, 12, 10**5)])
     def test_matches_oracle(self, q, r, d, x):
         assert tau(ResidueClass(q, r), d, x) == naive_tau(q, r, d, x)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 15, 21, 35])
+    def test_class_of_two_matches_oracle(self, q):
+        # the odd multiples of q include the gap from 2, the even ones the rest
+        cls = ResidueClass(q, 2)
+        for d in range(q, 8 * q, q):
+            for x in (d + 1, d + 2, 10**4):
+                assert tau(cls, d, x) == naive_tau(q, 2, d, x), (d, x)
+
+    def test_odd_gap_counted_once(self):
+        assert tau(ResidueClass(7, 2), 21, 200) == 1
+        assert tau(ResidueClass(3, 2), 3, 100) == 1
 
     def test_counting_consistency(self):
         cls = ResidueClass(6, 5)

@@ -1,8 +1,10 @@
 """Byte pins: output files and stdout of a few fast CLI runs, by sha256.
 
 The digests in golden_sha256.json were recorded from the code as it was
-before record detection moved to the per-class seen table, so any change
-to an artifact's bytes, however small, fails here. Each run goes into its
+before record detection moved to a table of seen gap sizes (the runs
+scan-q8, scan-q7-r2 and brun-d4-q4 from the code before the class-pair
+stream yielded gaps in place of start primes), so any change to an
+artifact's bytes, however small, fails here. Each run goes into its
 own directory with a relative ``--out``, so the paths printed on stdout do
 not depend on where the tests run. To print the digests of the current code:
 
@@ -29,6 +31,9 @@ RUNS = {
     "scan-q211-t2": ["scan", "--q", "211", "--r", "all", "--x-max", "1e6", "--threads", "2"],
     "fit-q211": ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e7"],
     "brun-twin": ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e6"],
+    "scan-q8": ["scan", "--q", "8", "--r", "all", "--x-max", "1e6"],
+    "scan-q7-r2": ["scan", "--q", "7", "--r", "2", "--x-max", "1e6"],
+    "brun-d4-q4": ["brun", "--d", "4", "--q", "4", "--r", "3", "--x-max", "1e6"],
 }
 
 
