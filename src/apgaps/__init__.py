@@ -13,7 +13,6 @@ from .brun import (
     brun_growth,
     brun_partial_sum,
     empirical_singular_mean,
-    first_occurrence_heuristic,
     mean_singular_product,
     singular_product,
     tau_estimate,
@@ -77,7 +76,6 @@ __all__ = [
     "build_histogram",
     "default_params",
     "empirical_singular_mean",
-    "first_occurrence_heuristic",
     "fit_gev",
     "fit_gumbel",
     "fo_trend",

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import sieve as sievemod
-from . import trend
 from .gapscan import _class_pairs
 from .numutil import CONSTANTS, _prime_factors, lcm2, log_integral, totient
 from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
@@ -223,18 +222,6 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
         else log_integral(x)
     return (_c2_amplitude(q) * singular_product(d) * pi_x * pi_x / (phi * phi * x)
             * math.exp(-d * pi_x / (phi * x)))
-
-
-def first_occurrence_heuristic(d: int, q: int) -> float:
-    """Location heuristic e^t with t = (1/2) log d + sqrt(d / phi(q)).
-
-    This is the trend module's predictor, restricted to d >= 2; it arises as
-    the approximate positive root of t^2 - t log d - d/phi(q) = 0 (set the
-    estimate equal to the 2/xi pair density and solve for log xi).
-    """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    return trend.predict_first_occurrence(d, q)
 
 
 def first_occurrence_log_exact(d: int, q: int) -> float:

@@ -171,13 +171,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _load_samples_csv(path: str) -> np.ndarray:
+    """First field of each line; blank lines, a 'u' header and '#' comments are skipped."""
     vals = []
     with open(path) as fh:
-        for line in fh:
+        for num, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith(("u", "#")):
                 continue
-            vals.append(float(line.split(",")[0]))
+            field = line.split(",")[0]
+            try:
+                val = float(field)
+            except ValueError:
+                raise UsageError(f"{path} line {num}: bad sample {field!r}") from None
+            if not math.isfinite(val):
+                raise UsageError(f"{path} line {num}: sample {field!r} is not finite")
+            vals.append(val)
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -193,7 +201,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.bins < 1:
         raise UsageError("bins must be >= 1")
     params = _trend_params(args)
-    out = _outdir(args)
     if args.samples_csv:
         u = _load_samples_csv(args.samples_csv)
         maximal_u = None
@@ -230,6 +237,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "n_samples": int(u.size),
         "window": [window_lo, window_hi],
     }
+    out = _outdir(args)
     hist = evstats.build_histogram(u, args.bins)
     evstats.write_histogram_csv(hist, os.path.join(out, f"hist_q{args.q}.csv"))
     grid = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], 513)

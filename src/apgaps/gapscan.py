@@ -10,10 +10,12 @@ All requested classes come from one pass of the segment sieve, turned into
 one stream of consecutive class-prime pairs: per batch, the number of pairs
 of each class, their gaps and their end primes. New gap sizes are found by
 one ``take`` per batch from a flat, row-major boolean table of the sizes not
-yet seen, a row per class and a column per gap d / lcm(2, q). Its width, a
-power of two, doubles whenever a wider gap appears, so it stays small: for
-q = 211 up to 1e9 the widest gap, 66,254, is column 157. Only the few pairs
-still unseen in the table reach the Python event loop.
+yet seen, a row per class and a column per gap d / q. Every gap in a class
+mod q is a multiple of q, so the key is exact, the odd gap from 2 included.
+The table's width, a power of two, doubles whenever a wider gap appears, so
+it stays small: for q = 211 up to 1e9 the widest gap, 66,254, is column 314
+of 512. Only the few pairs still unseen in the table reach the Python event
+loop.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import sieve
-from .numutil import lcm2, totient
+from .numutil import totient
 from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
 
 
@@ -71,18 +73,16 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
     primes: the pairs come grouped by row, counts[i] of them for the class
     rs[i], each row in ascending order, and pair j joins the consecutive
     class primes ends[j] - gaps[j] < ends[j]. A row's first pair in a batch
-    starts at its last prime of the batches before. A class's first prime
-    starts no pair, except 2: the pair from 2, the only gap that is not a
-    multiple of lcm(2, q), is yielded on its own, ahead of the rest of its
-    batch. No rows or starts are built; a consumer that needs the start
-    primes takes ends - gaps on the pairs it keeps.
+    starts at its last prime of the batches before, and a class's first
+    prime starts no pair. Batches without a pair are skipped. No rows or
+    starts are built; a consumer that needs the start primes takes
+    ends - gaps on the pairs it keeps.
     """
     k = len(rs)
     # residues < q fit a narrow type, which numpy's stable sort radix-sorts
     key_type = np.min_scalar_type(q - 1)
     rs_arr = np.array(rs, dtype=key_type)
     last = np.zeros(k, dtype=np.int64)  # each class's latest prime, 0 before its first
-    two_open = 2 in rs  # the pair from 2 is still to come
     segments = sieve.iter_prime_segments(1, hi, seg_len=seg_len, threads=threads)
     for primes in (seg.primes[i : i + _BATCH] for seg in segments
                    for i in range(0, seg.primes.size, _BATCH)):
@@ -116,21 +116,10 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
         np.subtract(ends[1:], ends[:-1], out=gaps[1:])
         gaps[heads] = ends[heads] - prev
         firsts = prev == 0
-        drop = heads[firsts]
-        counts[has[firsts]] -= 1
-        if two_open:
-            two = np.flatnonzero(ends - gaps == 2)
-            if two.size:
-                two_open = False
-                row = rs.index(2)
-                counts[row] -= 1
-                alone = np.zeros_like(counts)
-                alone[row] = 1
-                yield alone, gaps[two], ends[two]
-                drop = np.append(drop, two)
-        if drop.size:
+        if firsts.any():
+            counts[has[firsts]] -= 1
             keep = np.ones(n, dtype=bool)
-            keep[drop] = False
+            keep[heads[firsts]] = False
             gaps, ends = gaps.compress(keep), ends.compress(keep)
             if not ends.size:
                 continue
@@ -151,35 +140,29 @@ def scan_many(
     if x_max < 1:
         raise ValueError("x_max must be positive")
     phi = totient(q)
-    step = lcm2(q)
     k = len(rs)
     events: list[list[GapEvent]] = [[] for _ in rs]
     running_max = [0] * k
     n_max = [0] * k
-    # unseen[row << shift | g]: class rs[row] has had no gap g * step yet
+    # unseen[row << shift | g]: class rs[row] has had no gap g * q yet
     shift = 0
     unseen = np.ones(k, dtype=bool)
     for counts, gaps, ends in _class_pairs(q, rs, x_max, threads=threads, seg_len=seg_len):
-        if ends[0] - gaps[0] == 2:
-            # the odd gap from 2 opens its class's events and stays out of
-            # the table, where d // step could alias an even gap
-            fresh, fresh_rows = [0], [rs.index(2)]
-        else:
-            key = gaps // step
-            top = int(key.max()).bit_length()  # 2^top is the power of two above every g
-            if top > shift:
-                unseen = np.pad(unseen.reshape(k, -1), ((0, 0), (0, (1 << top) - (1 << shift))),
-                                constant_values=True).ravel()
-                shift = top
-            key |= np.repeat(np.arange(k) << shift, counts)
-            cand = np.flatnonzero(unseen.take(key))
-            if not cand.size:
-                continue
-            _, first = np.unique(key[cand], return_index=True)
-            fresh = np.sort(cand[first])  # time order within each class
-            fresh_key = key[fresh]
-            unseen[fresh_key] = False
-            fresh_rows = (fresh_key >> shift).tolist()
+        key = gaps // q
+        top = int(key.max()).bit_length()  # 2^top is the power of two above every g
+        if top > shift:
+            unseen = np.pad(unseen.reshape(k, -1), ((0, 0), (0, (1 << top) - (1 << shift))),
+                            constant_values=True).ravel()
+            shift = top
+        key |= np.repeat(np.arange(k) << shift, counts)
+        cand = np.flatnonzero(unseen.take(key))
+        if not cand.size:
+            continue
+        _, first = np.unique(key[cand], return_index=True)
+        fresh = np.sort(cand[first])  # time order within each class
+        fresh_key = key[fresh]
+        unseen[fresh_key] = False
+        fresh_rows = (fresh_key >> shift).tolist()
         for row, e, v in zip(fresh_rows, ends[fresh].tolist(), gaps[fresh].tolist()):
             is_max = v > running_max[row]
             if is_max:
@@ -212,22 +195,20 @@ def scan(cls: ResidueClass, x_max: int, *, threads: int = 1,
 
 
 def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int, int]:
-    """Exact histogram of gap sizes between consecutive class primes <= x."""
+    """Exact histogram of gap sizes between consecutive class primes <= x.
+
+    The sizes come in ascending order.
+    """
     if x < 1:
         raise ValueError("x must be positive")
-    step = lcm2(cls.q)
-    counts: dict[int, int] = {}
-    total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * step
-    for _, gaps, ends in _class_pairs(cls.q, [cls.r], x, threads=threads,
-                                      seg_len=DEFAULT_SEGMENT_LENGTH):
-        if ends[0] - gaps[0] == 2:  # the odd gap from 2
-            counts[int(gaps[0])] = 1
-            continue
-        per_g = np.bincount(gaps // step, minlength=total.size)
+    q = cls.q
+    total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * q
+    for _, gaps, _ in _class_pairs(q, [cls.r], x, threads=threads,
+                                   seg_len=DEFAULT_SEGMENT_LENGTH):
+        per_g = np.bincount(gaps // q, minlength=total.size)
         per_g[: total.size] += total
         total = per_g
-    counts.update((g * step, c) for g, c in enumerate(total.tolist()) if c)
-    return counts
+    return {g * q: c for g, c in enumerate(total.tolist()) if c}
 
 
 def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
@@ -259,7 +240,12 @@ def interval_record_table(
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    x_needed = math.floor(math.exp(j_max + 1))
+    try:
+        x_needed = math.floor(math.exp(j_max + 1))
+    except OverflowError:
+        if budget is None:
+            raise
+        x_needed = math.inf  # past float range, so past any budget
     if budget is not None and x_needed > budget:
         raise BudgetExceededError(
             f"interval table to j={j_max} needs sieving to {x_needed} > budget {budget}")

@@ -39,19 +39,6 @@ class TrendParams:
             raise ValueError(f"unknown parameter source {self.source!r}")
 
 
-@dataclass(frozen=True)
-class PredictorBounds:
-    c_lower: float = 0.1
-    c_upper: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.c_lower < self.c_upper:
-            raise ValueError("need 0 < c_lower < c_upper")
-
-
-DEFAULT_PREDICTOR_BOUNDS = PredictorBounds()
-
-
 def default_params(q: int) -> TrendParams:
     """Built-in trend parameters for modulus q.
 
@@ -207,12 +194,10 @@ def predict_first_occurrence(d: float, q: int) -> float:
     return math.exp(t)
 
 
-def first_occurrence_bounds(
-    d: float, q: int, bounds: PredictorBounds = DEFAULT_PREDICTOR_BOUNDS
-) -> tuple[float, float]:
-    """Companion interval [c_lower * P, c_upper * P] around the predictor."""
+def first_occurrence_bounds(d: float, q: int) -> tuple[float, float]:
+    """Companion interval [0.1 P, 10 P] around the predictor P."""
     p = predict_first_occurrence(d, q)
-    return bounds.c_lower * p, bounds.c_upper * p
+    return 0.1 * p, 10.0 * p
 
 
 def inverse_limit_probe(q: int, x_values: Sequence[float]) -> list[float]:

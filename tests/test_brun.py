@@ -13,7 +13,6 @@ from apgaps.brun import (
     brun_growth,
     brun_partial_sum,
     empirical_singular_mean,
-    first_occurrence_heuristic,
     first_occurrence_log_exact,
     mean_singular_product,
     singular_product,
@@ -22,7 +21,6 @@ from apgaps.brun import (
 from apgaps.gapscan import gap_size_counts
 from apgaps.numutil import CONSTANTS, totient
 from apgaps.sieve import ResidueClass
-from apgaps.trend import predict_first_occurrence
 
 from _oracles import singular_product_direct, trial_division_primes_in_class
 
@@ -244,11 +242,6 @@ class TestTauEstimate:
 
 
 class TestFirstOccurrenceHeuristic:
-    def test_identity_with_trend_predictor(self):
-        for q, d in ((2, 100), (6, 60), (211, 2110)):
-            assert first_occurrence_heuristic(d, q) == pytest.approx(
-                predict_first_occurrence(d, q), rel=1e-12)
-
     def test_exact_root_ratio_tends_to_one(self):
         # t = (log d + sqrt(log^2 d + 4d/phi))/2 vs the approximation
         # t = log(d)/2 + sqrt(d/phi): ratio of predicted locations tends to 1
@@ -263,7 +256,3 @@ class TestFirstOccurrenceHeuristic:
 
     def test_exact_root_at_d_one(self):
         assert first_occurrence_log_exact(1, 2) == pytest.approx(1.0, rel=1e-15)
-
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            first_occurrence_heuristic(1, 2)

@@ -154,6 +154,19 @@ class TestFitCommand:
             want = int(r["count"]) / (5000 * width)
             assert float(r["density"]) == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+    def test_bad_sample_exit_2(self, bad, tmp_path, capsys):
+        path = tmp_path / "u.csv"
+        path.write_text("u\n0.5\n" + bad + "\n1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run("fit", "--q", "2", "--samples-csv", str(path),
+                     "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == "" and "line 3" in captured.err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCountsCommand:
     def test_ten_rows(self, tmp_path, capsys):

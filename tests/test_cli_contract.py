@@ -113,6 +113,7 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 1e11", 3, True),
     ("counts --q 6 --j-max 25 --budget 1e6", 3, True),
     ("counts --q 6 --j-max 30", 3, True),
+    ("counts --q 6 --j-max 800", 3, True),
     # probe x
     ("probe --q 2 --x inf", 2, True),
     ("probe --q 2 --x nan", 2, True),

@@ -218,8 +218,8 @@ class TestPairStreamDifferential:
             assert _event_tuples(many[rr]) == _naive_tuples(q, rr, x)
 
     def test_odd_gap_from_two_is_its_own_event(self):
-        # 2 -> 23 (d = 21) opens 2 mod 7; 21 // 14 == 14 // 14, yet the next
-        # pair 23 -> 37 (d = 14) is a new gap size, below the running max 21
+        # 2 -> 23 (d = 21) opens 2 mod 7, keyed 21 // 7 = 3; the next pair
+        # 23 -> 37 (d = 14, key 2) is a new gap size, below the running max 21
         res = scan(ResidueClass(7, 2), 10**4)
         got = [(e.start_prime, e.end_prime, e.size, e.maximal_index, e.fo_index)
                for e in res.events[:2]]
@@ -351,6 +351,12 @@ class TestIntervalCounts:
         from apgaps.gapscan import BudgetExceededError
         with pytest.raises(BudgetExceededError):
             interval_record_table(6, 30, budget=10**6)
+
+    def test_budget_past_float_range(self):
+        # e^801 overflows a float; it is still a bound past the budget
+        from apgaps.gapscan import BudgetExceededError
+        with pytest.raises(BudgetExceededError):
+            interval_record_table(6, 800, budget=10**10)
 
 
 class TestRecordBounds:

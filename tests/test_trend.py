@@ -7,8 +7,6 @@ from apgaps.gapscan import GapEvent, scan, scan_many
 from apgaps.numutil import log_integral, totient
 from apgaps.sieve import ResidueClass
 from apgaps.trend import (
-    DEFAULT_PREDICTOR_BOUNDS,
-    PredictorBounds,
     TrendParams,
     avg_gap,
     baseline_trend,
@@ -302,12 +300,6 @@ class TestPredictor:
         center = predict_first_occurrence(100, 2)
         assert lo == pytest.approx(0.1 * center, rel=1e-12)
         assert hi == pytest.approx(10 * center, rel=1e-12)
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            PredictorBounds(2.0, 1.0)
-        assert DEFAULT_PREDICTOR_BOUNDS.c_lower == 0.1
-        assert DEFAULT_PREDICTOR_BOUNDS.c_upper == 10.0
 
 
 class TestInverseLimitProbe:
