@@ -18,7 +18,7 @@ import numpy as np
 from . import sieve as sievemod
 from .gapscan import _class_pairs
 from .numutil import CONSTANTS, _prime_factors, lcm2, log_integral, totient
-from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
+from .sieve import ResidueClass
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def brun_growth(
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
     total = 0.0
     count = 0
-    for _, gaps, ends in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads,
-                                      seg_len=DEFAULT_SEGMENT_LENGTH):
+    for _, gaps, ends in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads):
         en = ends.compress(gaps == d)
         if not en.size:
             continue

@@ -1,11 +1,11 @@
 """Command line interface.
 
-Subcommands scan, fit, counts, brun, meanprod, predict and probe each run a
-cmd_x(args) that checks its own options in the argparse namespace before any
-work; main checks what they share (q >= 2, --budget, the --threads floor).
-Exit codes: 0 success, 2 invalid input, 3 sieve budget exceeded, 4 computation
-error. The same arguments give byte-identical files whatever --threads is. JSON
-numbers use Python float repr (shortest round trip); CSV floats carry 10 digits.
+Each subcommand accepts only the options its cmd_x(args) reads and checks them
+before any work; argparse parses --budget, and main checks only --q
+(2 <= q <= MAX_MODULUS). Exit codes: 0 success, 2 invalid input, 3 sieve
+budget exceeded, 4 computation error. The same arguments give byte-identical
+files whatever --threads is. JSON numbers use Python float repr (shortest
+round trip); CSV floats carry 10 digits.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import brun, evstats, gapscan, trend
 from .gapscan import BudgetExceededError
+from .numutil import MAX_MODULUS
 from .sieve import ResidueClass
 
 EXIT_OK = 0
@@ -33,8 +34,8 @@ EXIT_COMPUTE = 4
 DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
 
 
-class UsageError(ValueError):
-    """Invalid command input (maps to exit code 2)."""
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid command input (exit code 2), also as the type error of --budget."""
 
 
 def _parse_x(text: str) -> int:
@@ -186,6 +187,8 @@ def _load_samples_csv(path: str) -> np.ndarray:
             if not math.isfinite(val):
                 raise UsageError(f"{path} line {num}: sample {field!r} is not finite")
             vals.append(val)
+    if len(vals) < 10:
+        raise UsageError(f"{path} holds {len(vals)} samples: too few to fit")
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -371,26 +374,28 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # Parsing and dispatch
 
 
-def _subcommand(subs, name: str, func, help: str, *,
-                with_r: bool = True) -> argparse.ArgumentParser:
-    """Subparser `name` with the options every command shares, dispatching to func."""
+_SIEVING = ("--seed", "--threads", "--budget")
+_TREND = ("--b1", "--b2", "--c0", "--c1")
+_SHARED = {
+    "--r": dict(default="all", help="residues: 'all', a comma list, or a..b ranges"),
+    "--out": dict(default=None, help="output directory"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=0,
+                   help="unused: nothing is randomized and the seed is not recorded"),
+    "--threads": dict(type=int, default=1),  # below 1 the sieve runs serially
+    "--budget": dict(type=_parse_x, default=DEFAULT_BUDGET,
+                     help="max numbers sieved per run (default 1e10)"),
+    **{opt: dict(type=float, default=None) for opt in _TREND},
+}
+
+
+def _subcommand(subs, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    """Subparser `name` with --q and the shared options named, dispatching to func."""
     sub = subs.add_parser(name, help=help)
     sub.set_defaults(func=func)
     sub.add_argument("--q", type=int, required=True, help="modulus of the progression")
-    if with_r:
-        sub.add_argument("--r", default="all",
-                         help="residues: 'all', a comma list, or a..b ranges")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="unused: nothing is randomized and the seed is not recorded")
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--budget", default=str(DEFAULT_BUDGET),
-                     help="max numbers sieved per run (default 1e10)")
-    sub.add_argument("--b1", type=float, default=None)
-    sub.add_argument("--b2", type=float, default=None)
-    sub.add_argument("--c0", type=float, default=None)
-    sub.add_argument("--c1", type=float, default=None)
+    for opt in shared:
+        sub.add_argument(opt, **_SHARED[opt])
     return sub
 
 
@@ -401,10 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(subs, "scan", cmd_scan, "enumerate gap events per residue class")
+    p = _subcommand(subs, "scan", cmd_scan, "enumerate gap events per residue class",
+                    "--r", "--out", "--format", *_SIEVING, *_TREND)
     p.add_argument("--x-max", required=True, help="scan primes up to this bound")
 
-    p = _subcommand(subs, "fit", cmd_fit, "rescale events and fit Gumbel / GEV")
+    p = _subcommand(subs, "fit", cmd_fit, "rescale events and fit Gumbel / GEV",
+                    "--r", "--out", *_SIEVING, *_TREND)
     p.add_argument("--x-max", default=None, help="scan bound (default: window top)")
     p.add_argument("--window", default="1e7:1e9",
                    help="end-prime window lo:hi entering the fit")
@@ -413,28 +420,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit these rescaled values instead of scanning")
 
     p = _subcommand(subs, "counts", cmd_counts,
-                    "mean record counts per interval (e^j, e^{j+1}]", with_r=False)
+                    "mean record counts per interval (e^j, e^{j+1}]", "--out", *_SIEVING)
     p.add_argument("--j-max", type=int, required=True)
     p.add_argument("--fit-hyperbola", action="store_true",
                    help="also report a 2 - kappa/(j+delta) least-squares fit")
 
-    p = _subcommand(subs, "brun", cmd_brun, "generalized Brun partial sums and estimates")
+    p = _subcommand(subs, "brun", cmd_brun, "generalized Brun partial sums and estimates",
+                    "--r", "--out", *_SIEVING)
     p.add_argument("--d", type=int, required=True, help="gap size")
     p.add_argument("--x-max", required=True)
     p.add_argument("--points", type=int, default=16, help="checkpoints on the curve")
 
     p = _subcommand(subs, "meanprod", cmd_meanprod,
-                    "exact mean singular product over r + nq", with_r=False)
+                    "exact mean singular product over r + nq", "--out")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--empirical-n", type=int, default=None,
                    help="also average the first N progression terms")
 
-    p = _subcommand(subs, "predict", cmd_predict, "first-occurrence location heuristic",
-                    with_r=False)
+    p = _subcommand(subs, "predict", cmd_predict, "first-occurrence location heuristic")
     p.add_argument("--d", type=int, required=True)
 
-    p = _subcommand(subs, "probe", cmd_probe, "P(T0(q,x),q)/x ratios against e^{-1/2}",
-                    with_r=False)
+    p = _subcommand(subs, "probe", cmd_probe, "P(T0(q,x),q)/x ratios against e^{-1/2}")
     p.add_argument("--x", default="1e6,1e9,1e12", help="comma list of x values")
 
     return parser
@@ -447,10 +453,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.q < 2:
-            raise UsageError("q must be at least 2")
-        args.budget = _parse_x(args.budget)
-        args.threads = max(1, args.threads)
+        if not 2 <= args.q <= MAX_MODULUS:
+            raise UsageError(f"q must be at least 2 and at most {MAX_MODULUS}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -458,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ArithmeticError, LookupError,
+    except (ValueError, ArithmeticError, LookupError, MemoryError,
             evstats.FitConvergenceError, OSError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sieve
 from .numutil import totient
-from .sieve import DEFAULT_SEGMENT_LENGTH, ResidueClass
+from .sieve import ResidueClass
 
 
 class BudgetExceededError(RuntimeError):
@@ -65,25 +65,27 @@ class ScanResult:
 _BATCH = 1 << 15
 
 
-def _class_pairs(q: int, rs: Sequence[int], hi: int, *, threads: int,
-                 seg_len: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _class_pairs(q: int, rs: Sequence[int], hi: int, *,
+                 threads: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Consecutive prime pairs of the classes rs (ascending) mod q, up to hi.
 
-    Yields (counts, gaps, ends) for each batch of at most _BATCH sieved
-    primes: the pairs come grouped by row, counts[i] of them for the class
-    rs[i], each row in ascending order, and pair j joins the consecutive
-    class primes ends[j] - gaps[j] < ends[j]. A row's first pair in a batch
-    starts at its last prime of the batches before, and a class's first
-    prime starts no pair. Batches without a pair are skipped. No rows or
-    starts are built; a consumer that needs the start primes takes
-    ends - gaps on the pairs it keeps.
+    Yields (counts, gaps, ends) for each batch of at most _BATCH primes of
+    segments sieve.DEFAULT_SEGMENT_LENGTH numbers long, read at call time:
+    the pairs come grouped by row, counts[i] of them for the class rs[i],
+    each row in ascending order, and pair j joins the consecutive class
+    primes ends[j] - gaps[j] < ends[j]. A row's first pair in a batch starts
+    at its last prime of the batches before, and a class's first prime
+    starts no pair. Batches without a pair are skipped. No rows or starts
+    are built; a consumer that needs the start primes takes ends - gaps on
+    the pairs it keeps.
     """
     k = len(rs)
     # residues < q fit a narrow type, which numpy's stable sort radix-sorts
     key_type = np.min_scalar_type(q - 1)
     rs_arr = np.array(rs, dtype=key_type)
     last = np.zeros(k, dtype=np.int64)  # each class's latest prime, 0 before its first
-    segments = sieve.iter_prime_segments(1, hi, seg_len=seg_len, threads=threads)
+    segments = sieve.iter_prime_segments(1, hi, seg_len=sieve.DEFAULT_SEGMENT_LENGTH,
+                                         threads=threads)
     for primes in (seg.primes[i : i + _BATCH] for seg in segments
                    for i in range(0, seg.primes.size, _BATCH)):
         # p & (q - 1) and p - p // q * q are p % q for p >= 0 at a fraction of
@@ -132,7 +134,6 @@ def scan_many(
     x_max: int,
     *,
     threads: int = 1,
-    seg_len: int = DEFAULT_SEGMENT_LENGTH,
 ) -> dict[int, ScanResult]:
     """Scan every requested residue class mod q in a single sieve pass."""
     rs = sorted(set(int(r) for r in r_values))
@@ -147,7 +148,7 @@ def scan_many(
     # unseen[row << shift | g]: class rs[row] has had no gap g * q yet
     shift = 0
     unseen = np.ones(k, dtype=bool)
-    for counts, gaps, ends in _class_pairs(q, rs, x_max, threads=threads, seg_len=seg_len):
+    for counts, gaps, ends in _class_pairs(q, rs, x_max, threads=threads):
         key = gaps // q
         top = int(key.max()).bit_length()  # 2^top is the power of two above every g
         if top > shift:
@@ -188,10 +189,9 @@ def scan_many(
     }
 
 
-def scan(cls: ResidueClass, x_max: int, *, threads: int = 1,
-         seg_len: int = DEFAULT_SEGMENT_LENGTH) -> ScanResult:
+def scan(cls: ResidueClass, x_max: int, *, threads: int = 1) -> ScanResult:
     """Scan one residue class for gap events among primes <= x_max."""
-    return scan_many(cls.q, [cls.r], x_max, threads=threads, seg_len=seg_len)[cls.r]
+    return scan_many(cls.q, [cls.r], x_max, threads=threads)[cls.r]
 
 
 def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int, int]:
@@ -203,8 +203,7 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
         raise ValueError("x must be positive")
     q = cls.q
     total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * q
-    for _, gaps, _ in _class_pairs(q, [cls.r], x, threads=threads,
-                                   seg_len=DEFAULT_SEGMENT_LENGTH):
+    for _, gaps, _ in _class_pairs(q, [cls.r], x, threads=threads):
         per_g = np.bincount(gaps // q, minlength=total.size)
         per_g[: total.size] += total
         total = per_g

@@ -23,7 +23,7 @@ EULER_GAMMA = 0.5772156649015329
 # prod over odd primes p of p(p-2)/(p-1)^2
 TWIN_PRIME_CONSTANT = 0.6601618158468696
 
-UINT64_MAX = (1 << 64) - 1
+MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime this big
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ def _prime_factors(n: int) -> list[int]:
 
 def totient(q: int) -> int:
     """Euler's phi: q times (1 - 1/p) over the primes p dividing q."""
-    if q < 1:
-        raise ValueError("totient needs a positive integer")
-    if q > UINT64_MAX:
-        raise OverflowError("totient argument exceeds 64-bit range")
+    if not 1 <= q <= MAX_MODULUS:
+        raise ValueError(f"totient needs 1 <= q <= {MAX_MODULUS}")
     result = q
     for p in _prime_factors(q):
         result -= result // p
@@ -66,12 +64,9 @@ def totient(q: int) -> int:
 
 def lcm2(q: int) -> int:
     """lcm(2, q): the common step of gap sizes in a residue class mod q."""
-    if q < 1:
-        raise ValueError("lcm2 needs a positive integer")
-    out = q if q % 2 == 0 else 2 * q
-    if out > UINT64_MAX:
-        raise OverflowError("lcm(2, q) exceeds 64-bit range")
-    return out
+    if not 1 <= q <= MAX_MODULUS:
+        raise ValueError(f"lcm2 needs 1 <= q <= {MAX_MODULUS}")
+    return q if q % 2 == 0 else 2 * q
 
 
 # 32-point Gauss-Legendre rule on [-1, 1]; composite panels below.

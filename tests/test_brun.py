@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgaps import brun, gapscan
+from apgaps import gapscan, sieve
 from apgaps.brun import (
     brun_estimate,
     brun_growth,
@@ -170,7 +170,7 @@ class TestBoundedGrowth:
                     | {x})
         primes = trial_division_primes_in_class(2, 1, x).tolist()
         with mock.patch.object(gapscan, "_BATCH", batch), \
-                mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", max(2, x // 7)):
+                mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", max(2, x // 7)):
             got = brun_growth(d, ResidueClass(2, 1), xs, threads=threads)
         assert [(g.partial_sum, g.pair_count) for g in got] == \
             concatenated_growth(primes, d, xs)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apgaps import evstats, trend
+from apgaps import brun, evstats, trend
 from apgaps.brun import brun_partial_sum
 from apgaps.cli import (
     EXIT_BAD_INPUT,
@@ -139,6 +139,16 @@ class TestFitCommand:
                  "--window", "1:50", "--out", str(tmp_path))
         assert rc == EXIT_COMPUTE
 
+    def test_too_few_samples_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "u.csv"
+        path.write_text("u\n0.5\n1.0\n1.5\n")
+        rc = run("fit", "--q", "2", "--samples-csv", str(path),
+                 "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == "" and f"{path} holds 3 samples" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_histogram_density_consistent(self, tmp_path):
         u = gumbel_samples(np.random.default_rng(1), 5000, 1.0, 0.0)
         path = tmp_path / "u.csv"
@@ -200,6 +210,16 @@ class TestSmallCommands:
         assert rc == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["rel_diff"] < 0.01
+
+    def test_meanprod_out_of_memory_exit_4(self, monkeypatch, capsys):
+        def exhaust(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(brun, "empirical_singular_mean", exhaust)
+        rc = run("meanprod", "--q", "3", "--r", "1", "--empirical-n", "1000000000")
+        captured = capsys.readouterr()
+        assert rc == EXIT_COMPUTE
+        assert captured.out == "" and "computation error" in captured.err
 
     def test_meanprod_bad_r(self):
         assert run("meanprod", "--q", "10", "--r", "10") == EXIT_BAD_INPUT

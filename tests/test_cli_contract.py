@@ -3,7 +3,8 @@
 cli_help.json holds the help of the top-level parser and of all seven
 subcommands at COLUMNS=80. EXITS pairs an argv with its exit code and with
 whether stdout stayed empty. Both were recorded from the code before the
-subcommands read argparse's namespace directly. The rows that changed on
+subcommands read argparse's namespace directly; the help texts were
+re-recorded when each subcommand kept only the options it reads. The rows that changed on
 purpose since then carry the old exit code in a comment: numeric options
 that used to fail inside the computation (exit 4) or be ignored are now
 rejected up front. Each argv runs in its own directory, which holds u.csv,
@@ -44,6 +45,7 @@ EXITS = [
     ("meanprod --q 1 --r 0", 2, True),
     ("predict --q 1 --d 2", 2, True),
     ("probe --q 1", 2, True),
+    ("predict --q 9223372036854775783 --d 10", 2, True),  # ran for minutes
     # r, and the residue count of brun
     ("scan --q 6 --r 2 --x-max 100", 2, True),
     ("scan --q 6 --r 0 --x-max 100", 2, True),
@@ -137,6 +139,13 @@ EXITS = [
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
     ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),
+    # options a subcommand does not read
+    ("fit --q 2 --samples-csv u.csv --format json", 2, True),  # was 0
+    ("counts --q 6 --j-max 3 --b1 1", 2, True),  # was 0
+    ("brun --q 2 --r 1 --d 2 --x-max 100 --format json", 2, True),  # was 0
+    ("meanprod --q 30 --r 3 --seed 1", 2, True),  # was 0
+    ("predict --q 2 --d 5 --threads 2", 2, True),  # was 0
+    ("probe --q 2 --x 1e6 --out o", 2, True),  # was 0
 ]
 
 

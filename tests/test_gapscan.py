@@ -126,9 +126,9 @@ class TestPairStreamDifferential:
         threads = data.draw(st.integers(1, 3), label="threads")
         batch = data.draw(st.integers(1, 64), label="batch")
         got = defaultdict(list)
-        with mock.patch.object(gapscan, "_BATCH", batch):
-            for counts, gaps, ends in gapscan._class_pairs(q, rs, x, threads=threads,
-                                                           seg_len=seg_len):
+        with mock.patch.object(gapscan, "_BATCH", batch), \
+                mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            for counts, gaps, ends in gapscan._class_pairs(q, rs, x, threads=threads):
                 assert counts.size == len(rs) and np.all(counts >= 0)
                 assert counts.sum() == ends.size == gaps.size > 0
                 rows = np.repeat(np.arange(len(rs)), counts)
@@ -143,10 +143,11 @@ class TestPairStreamDifferential:
     def test_scan_many_matches_oracle(self, qrs, x, data):
         q, rs = qrs
         seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
-        one = scan_many(q, rs, x, seg_len=seg_len, threads=1)
         batch = data.draw(st.integers(1, 64), label="batch")
-        with mock.patch.object(gapscan, "_BATCH", batch):
-            three = scan_many(q, rs, x, seg_len=seg_len, threads=3)
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            one = scan_many(q, rs, x, threads=1)
+            with mock.patch.object(gapscan, "_BATCH", batch):
+                three = scan_many(q, rs, x, threads=3)
         for r in rs:
             want = _naive_tuples(q, r, x)
             assert _event_tuples(one[r]) == want
@@ -163,7 +164,7 @@ class TestPairStreamDifferential:
         threads = data.draw(st.integers(1, 3), label="threads")
         primes = trial_division_primes_in_class(q, r, x)
         want = Counter(np.diff(primes).tolist())
-        with mock.patch.object(gapscan, "DEFAULT_SEGMENT_LENGTH", seg_len):
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
             got = gap_size_counts(ResidueClass(q, r), x, threads=threads)
         assert got == want
 
@@ -181,7 +182,7 @@ class TestPairStreamDifferential:
                     | {x})
         seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
         threads = data.draw(st.integers(1, 3), label="threads")
-        with mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", seg_len):
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
             got = brun.brun_growth(d, ResidueClass(q, r), xs, threads=threads)
         for bs in got:
             hits = [(s, e) for s, e in pairs if e - s == d and e <= bs.x]
@@ -204,11 +205,10 @@ class TestPairStreamDifferential:
         batch = data.draw(st.integers(1, 64), label="batch")
         cls = ResidueClass(q, r)
         with mock.patch.object(gapscan, "_BATCH", batch), \
-                mock.patch.object(gapscan, "DEFAULT_SEGMENT_LENGTH", seg_len), \
-                mock.patch.object(brun, "DEFAULT_SEGMENT_LENGTH", seg_len):
+                mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
             counts = gap_size_counts(cls, x, threads=threads)
             (bs,) = brun.brun_growth(d, cls, [x], threads=threads)
-            many = scan_many(q, rs, x, seg_len=seg_len, threads=threads)
+            many = scan_many(q, rs, x, threads=threads)
         assert counts == Counter(e - s for s, e in pairs)
         hits = [(s, e) for s, e in pairs if e - s == d]
         assert bs.pair_count == len(hits)

@@ -69,6 +69,17 @@ class TestTotient:
         with pytest.raises(ValueError):
             totient(0)
 
+    def test_modulus_bound(self):
+        # above the bound it raises before trial division, which would run
+        # about 1.5e9 Python steps on the prime 2^63 - 25
+        assert totient(numutil.MAX_MODULUS) == 4 * 10**11
+        assert lcm2(numutil.MAX_MODULUS) == numutil.MAX_MODULUS
+        for q in (numutil.MAX_MODULUS + 1, 2**63 - 25):
+            with pytest.raises(ValueError, match="q <= 1000000000000"):
+                totient(q)
+            with pytest.raises(ValueError, match="q <= 1000000000000"):
+                lcm2(q)
+
 
 class TestLcm2:
     def test_two(self):
