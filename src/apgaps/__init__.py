@@ -39,7 +39,7 @@ from .gapscan import (
     tau,
 )
 from .numutil import log_integral, log_integral_many, totient, twin_prime_constant
-from .sieve import PrimeSegment, ResidueClass, iter_prime_segments
+from .sieve import ResidueClass, iter_prime_segments
 from .trend import (
     TrendParams,
     avg_gap,
@@ -63,7 +63,6 @@ __all__ = [
     "GevFit",
     "GumbelFit",
     "Histogram",
-    "PrimeSegment",
     "ResidueClass",
     "ScanResult",
     "SingularMean",

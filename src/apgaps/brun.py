@@ -17,7 +17,7 @@ import numpy as np
 
 from . import sieve as sievemod
 from .gapscan import _class_pairs
-from .numutil import CONSTANTS, _prime_factors, lcm2, log_integral, totient
+from .numutil import PI2_INV, _prime_factors, lcm2, log_integral, totient
 from .sieve import ResidueClass
 
 
@@ -67,7 +67,7 @@ def mean_singular_product(q: int, r: int) -> SingularMean:
         else:
             mult *= Fraction(p * (p - 2), (p - 1) ** 2)
     return SingularMean(q=q, r=r, multiplier=mult,
-                        value=float(mult) * CONSTANTS.pi2_inv)
+                        value=float(mult) * PI2_INV)
 
 
 def _progression_hits(q: int, r: int, m: int) -> Optional[tuple[int, int]]:
@@ -171,7 +171,7 @@ def brun_partial_sum(d: int, cls: ResidueClass, x: int, *, threads: int = 1) -> 
 
 def _c2_amplitude(q: int) -> float:
     # C2 = c / s with c = lcm(2, q) and s = Pi2^{-1} prod_{p | q, p > 2} p/(p-1)
-    s = CONSTANTS.pi2_inv
+    s = PI2_INV
     for p in _prime_factors(q):
         if p > 2:
             s *= p / (p - 1)

@@ -2,9 +2,11 @@
 
 Each subcommand accepts only the options its cmd_x(args) reads and checks them
 before any work; argparse parses --budget, and main checks only --q
-(2 <= q <= MAX_MODULUS). Exit codes: 0 success, 2 invalid input, 3 sieve
-budget exceeded, 4 computation error. The same arguments give byte-identical
-files whatever --threads is. JSON numbers use Python float repr (shortest
+(2 <= q <= MAX_MODULUS). scan and brun sieve to --x-max and fit to the top of
+--window; each bound is checked before sieving, first against the sieve's
+2^63 - 1 ceiling and then against --budget. Exit codes: 0 success, 2 invalid
+input, 3 sieve budget exceeded, 4 computation error. The same arguments give
+byte-identical files whatever --threads is. JSON numbers use Python float repr (shortest
 round trip); CSV floats carry 10 digits.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import brun, evstats, gapscan, trend
 from .gapscan import BudgetExceededError
 from .numutil import MAX_MODULUS
-from .sieve import ResidueClass
+from .sieve import MAX_SIEVE_BOUND, ResidueClass
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -128,10 +130,12 @@ def _dump_json(payload: dict, path: Optional[str]) -> None:
     print(text)
 
 
-def _check_budget(args: argparse.Namespace, numbers_to_sieve: int) -> None:
-    if numbers_to_sieve > args.budget:
-        raise BudgetExceededError(
-            f"would sieve {numbers_to_sieve} numbers, budget is {args.budget}")
+def _check_budget(args: argparse.Namespace, bound: int) -> None:
+    """Refuse to sieve [1, bound]: bad input above the sieve's ceiling, else over budget."""
+    if bound > MAX_SIEVE_BOUND:
+        raise UsageError(f"bound {bound} exceeds the sieve ceiling 2^63 - 1")
+    if bound > args.budget:
+        raise BudgetExceededError(f"would sieve {bound} numbers, budget is {args.budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     write = gapscan.write_events_csv if ext == "csv" else gapscan.write_events_json
     ordered = [results[c.r] for c in classes]
     for res in ordered:
-        write(res, os.path.join(out, f"events_q{args.q}_r{res.cls.r}.{ext}"))
+        write([res], os.path.join(out, f"events_q{args.q}_r{res.cls.r}.{ext}"))
     write(ordered, os.path.join(out, f"events_q{args.q}_merged.{ext}"))
     # T0, T_f and phi log^2 p at the event end primes where the trends are defined
     phi = trend.totient(args.q)
@@ -174,7 +178,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def _load_samples_csv(path: str) -> np.ndarray:
     """First field of each line; blank lines, a 'u' header and '#' comments are skipped."""
     vals = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read samples file {path}: {exc.strerror}") from None
+    with fh:
         for num, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith(("u", "#")):
@@ -200,7 +208,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     window_lo, window_hi = _parse_x(lo), _parse_x(hi)
     if window_lo > window_hi:
         raise UsageError("window lower bound exceeds upper bound")
-    x_max = window_hi if args.x_max is None else _parse_x(args.x_max)
     if args.bins < 1:
         raise UsageError("bins must be >= 1")
     params = _trend_params(args)
@@ -209,8 +216,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         maximal_u = None
     else:
         classes = _classes(args.q, rs)
-        _check_budget(args, x_max)
-        results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
+        _check_budget(args, window_hi)
+        results = gapscan.scan_many(args.q, rs, window_hi, threads=args.threads)
         # (r, end_prime, size, is_maximal), merged in residue order
         picked = sorted((c.r, ev.end_prime, ev.size, ev.is_maximal)
                         for c in classes for ev in results[c.r].events
@@ -412,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subs, "fit", cmd_fit, "rescale events and fit Gumbel / GEV",
                     "--r", "--out", *_SIEVING, *_TREND)
-    p.add_argument("--x-max", default=None, help="scan bound (default: window top)")
     p.add_argument("--window", default="1e7:1e9",
-                   help="end-prime window lo:hi entering the fit")
+                   help="end-prime window lo:hi entering the fit; scans to hi")
     p.add_argument("--bins", type=int, default=53)
     p.add_argument("--samples-csv", default=None,
                    help="fit these rescaled values instead of scanning")

@@ -9,6 +9,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# The Gumbel scale iteration: damped fixed-point steps before bisection takes
+# over, and the relative step that counts as settled.
+_GUMBEL_MAX_ITER = 200
+_GUMBEL_REL_TOL = 1e-12
+# Simplex iterations of the GEV fit before it reports failure.
+_GEV_MAX_ITER = 2000
+
 
 class FitConvergenceError(RuntimeError):
     """Fit iteration failed to settle; carries the last iterate."""
@@ -95,27 +102,26 @@ def build_histogram(samples: Sequence[float], bin_count: int) -> Histogram:
     return Histogram(bin_edges=edges, counts=counts, total=int(arr.size))
 
 
-def ks_statistic(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
+def ks_statistic(samples: Sequence[float],
+                 cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact Kolmogorov-Smirnov distance between the sample and a model cdf.
 
     D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n) over the sorted sample;
-    no binning.
+    no binning. cdf is called once, on the sorted sample, and must return an
+    array of the same shape.
     """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = xs.size
     if n == 0:
         raise ValueError("empty sample")
-    try:
-        f = np.asarray(cdf(xs), dtype=np.float64)
-        if f.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(x)) for x in xs])  # scalar-only cdf
+    f = np.asarray(cdf(xs), dtype=np.float64)
+    if f.shape != xs.shape:
+        raise ValueError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}")
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / n - f, f - (i - 1.0) / n)))
 
 
-def _gumbel_mle(u: np.ndarray, max_iter: int, rel_tol: float) -> tuple[float, float]:
+def _gumbel_mle(u: np.ndarray) -> tuple[float, float]:
     mean = float(u.mean())
     alpha = float(u.std()) * math.sqrt(6.0) / math.pi  # moment seed
     if not alpha > 0.0:
@@ -126,10 +132,10 @@ def _gumbel_mle(u: np.ndarray, max_iter: int, rel_tol: float) -> tuple[float, fl
         w = np.exp(-(u - shift) / a)  # shift cancels in the weighted mean
         return mean - float((u * w).sum() / w.sum())
 
-    for _ in range(max_iter):
+    for _ in range(_GUMBEL_MAX_ITER):
         g = fixed_point(alpha)
         new = 0.5 * (alpha + g) if g > 0.0 else 0.5 * alpha
-        done = abs(new - alpha) <= rel_tol * abs(new)
+        done = abs(new - alpha) <= _GUMBEL_REL_TOL * abs(new)
         alpha = new
         if done:
             break
@@ -139,7 +145,7 @@ def _gumbel_mle(u: np.ndarray, max_iter: int, rel_tol: float) -> tuple[float, fl
         # below 0 at a = mean - min, so bisect it there (Coles 2001).
         lo, hi = 0.0, mean - shift
         alpha = 0.5 * hi
-        while lo < alpha < hi and hi - lo > rel_tol * hi:
+        while lo < alpha < hi and hi - lo > _GUMBEL_REL_TOL * hi:
             if fixed_point(alpha) > alpha:
                 lo = alpha
             else:
@@ -155,19 +161,18 @@ def _gumbel_mode(u: np.ndarray, alpha: float) -> float:
     return -alpha * (m + math.log(float(np.exp(z - m).mean())))
 
 
-def fit_gumbel(samples: Sequence[float], *, max_iter: int = 200,
-               rel_tol: float = 1e-12) -> GumbelFit:
+def fit_gumbel(samples: Sequence[float]) -> GumbelFit:
     """Maximum-likelihood Gumbel fit.
 
     The scale solves alpha = mean(u) - sum(u_i e^{-u_i/alpha}) / sum(e^{-u_i/alpha})
     by damped fixed-point iteration seeded at the moment estimate
-    stdev * sqrt(6) / pi, or by bisection of that equation when max_iter
-    steps do not settle; the mode follows in closed form.
+    stdev * sqrt(6) / pi, or by bisection of that equation when
+    _GUMBEL_MAX_ITER steps do not settle; the mode follows in closed form.
     """
     u = np.asarray(samples, dtype=np.float64)
     if u.size < 10:
         raise ValueError("Gumbel fit needs at least 10 samples")
-    alpha, mode = _gumbel_mle(u, max_iter, rel_tol)
+    alpha, mode = _gumbel_mle(u)
     ks = ks_statistic(u, lambda x: gumbel_cdf(x, alpha, mode))
     return GumbelFit(scale=alpha, mode=mode, ks=ks, sample_size=int(u.size))
 
@@ -249,19 +254,19 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int
     return sim[0], iterations < max_iter
 
 
-def fit_gev(samples: Sequence[float], *, max_iter: int = 2000) -> GevFit:
+def fit_gev(samples: Sequence[float]) -> GevFit:
     """Maximum-likelihood GEV fit, started from the Gumbel fit with shape 0.
 
     The likelihood is minimized by the in-package ``_nelder_mead``, which
-    matches scipy's Nelder-Mead (xatol = fatol = 1e-9) bit for bit without
-    importing scipy.optimize.
+    matches scipy's Nelder-Mead (maxiter = _GEV_MAX_ITER, xatol = fatol = 1e-9)
+    bit for bit without importing scipy.optimize.
     """
     u = np.asarray(samples, dtype=np.float64)
     if u.size < 50:
         raise ValueError("GEV fit needs at least 50 samples")
-    alpha, mode = _gumbel_mle(u, 200, 1e-12)
+    alpha, mode = _gumbel_mle(u)
     best, converged = _nelder_mead(lambda p: _gev_nll(p, u),
-                                   np.array([alpha, mode, 0.0]), max_iter, 1e-9)
+                                   np.array([alpha, mode, 0.0]), _GEV_MAX_ITER, 1e-9)
     if not converged:
         raise FitConvergenceError(
             "GEV optimization failed: Maximum number of iterations has been exceeded.",

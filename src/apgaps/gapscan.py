@@ -44,7 +44,6 @@ class GapEvent:
     end_prime: int
     size: int
     is_maximal: bool
-    is_first_occurrence: bool
     maximal_index: Optional[int]
     fo_index: Optional[int]
     csg: float  # size / (phi(q) * log^2 end_prime), the Cramer-Shanks-Granville ratio
@@ -70,9 +69,9 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *,
     """Consecutive prime pairs of the classes rs (ascending) mod q, up to hi.
 
     Yields (counts, gaps, ends) for each batch of at most _BATCH primes of
-    segments sieve.DEFAULT_SEGMENT_LENGTH numbers long, read at call time:
-    the pairs come grouped by row, counts[i] of them for the class rs[i],
-    each row in ascending order, and pair j joins the consecutive class
+    segments sieve.DEFAULT_SEGMENT_LENGTH numbers long, read when the stream
+    starts: the pairs come grouped by row, counts[i] of them for the class
+    rs[i], each row in ascending order, and pair j joins the consecutive class
     primes ends[j] - gaps[j] < ends[j]. A row's first pair in a batch starts
     at its last prime of the batches before, and a class's first prime
     starts no pair. Batches without a pair are skipped. No rows or starts
@@ -84,10 +83,9 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *,
     key_type = np.min_scalar_type(q - 1)
     rs_arr = np.array(rs, dtype=key_type)
     last = np.zeros(k, dtype=np.int64)  # each class's latest prime, 0 before its first
-    segments = sieve.iter_prime_segments(1, hi, seg_len=sieve.DEFAULT_SEGMENT_LENGTH,
-                                         threads=threads)
-    for primes in (seg.primes[i : i + _BATCH] for seg in segments
-                   for i in range(0, seg.primes.size, _BATCH)):
+    segments = sieve.iter_prime_segments(1, hi, threads=threads)
+    for primes in (seg[i : i + _BATCH] for seg in segments
+                   for i in range(0, seg.size, _BATCH)):
         # p & (q - 1) and p - p // q * q are p % q for p >= 0 at a fraction of
         # numpy's cost, and compress is several times faster than boolean
         # indexing on a half-true mask
@@ -176,7 +174,6 @@ def scan_many(
                     end_prime=e,
                     size=v,
                     is_maximal=is_max,
-                    is_first_occurrence=True,
                     maximal_index=n_max[row] if is_max else None,
                     fo_index=len(evs) + 1,
                     csg=v / (phi * math.log(e) ** 2),
@@ -314,10 +311,8 @@ def event_rows(result: ScanResult) -> list[dict]:
     return rows
 
 
-def write_events_csv(results: Sequence[ScanResult] | ScanResult, path: str) -> None:
+def write_events_csv(results: Sequence[ScanResult], path: str) -> None:
     """CSV export; csg carries 10 significant digits."""
-    if isinstance(results, ScanResult):
-        results = [results]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -328,10 +323,8 @@ def write_events_csv(results: Sequence[ScanResult] | ScanResult, path: str) -> N
                 )
 
 
-def write_events_json(results: Sequence[ScanResult] | ScanResult, path: str) -> None:
+def write_events_json(results: Sequence[ScanResult], path: str) -> None:
     """JSON export mirroring the CSV fields at full float precision."""
-    if isinstance(results, ScanResult):
-        results = [results]
     rows = []
     for res in results:
         rows.extend(event_rows(res))

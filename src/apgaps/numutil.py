@@ -7,7 +7,6 @@ import is ``sieve.base_primes``, and sieve imports nothing from the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,18 +22,11 @@ EULER_GAMMA = 0.5772156649015329
 # prod over odd primes p of p(p-2)/(p-1)^2
 TWIN_PRIME_CONSTANT = 0.6601618158468696
 
+# Precomputed so that callers multiply by it: dividing by TWIN_PRIME_CONSTANT
+# instead rounds differently and changes the last bits of the results.
+PI2_INV = 1.0 / TWIN_PRIME_CONSTANT
+
 MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime this big
-
-
-@dataclass(frozen=True)
-class NumConstants:
-    pi2: float = TWIN_PRIME_CONSTANT
-    pi2_inv: float = 1.0 / TWIN_PRIME_CONSTANT
-    euler_gamma: float = EULER_GAMMA
-    li_offset: float = LI_AT_2
-
-
-CONSTANTS = NumConstants()
 
 
 def _prime_factors(n: int) -> list[int]:

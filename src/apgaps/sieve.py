@@ -10,15 +10,19 @@ odd multiples with step p in the mask (2p in the numbers). Their first mask
 indices, each at the first odd multiple >= max(p^2, lo | 1), come from one
 vectorized pass over the base primes, so the Python loop only slices.
 
-``seg_len`` still counts the numbers a segment spans: the default 2^21 gives
-a 1 MiB mask, which stays in a 2 MiB L2 cache together with its primes.
-Residues are filtered after sieving with one floor division per prime
-(p - p // q * q, which numpy does faster than %) and ``compress``; the scanner
-typically wants many residues of the same modulus from one pass anyway.
+``iter_prime_segments`` streams plain int64 prime arrays, one per segment
+of ``DEFAULT_SEGMENT_LENGTH`` numbers, read when the stream starts. The
+length counts the numbers a segment spans, not mask bytes: the default 2^21
+gives a 1 MiB mask, which stays in a 2 MiB L2 cache together with its primes.
+The consumers (``prime_count`` here, the pair stream in gapscan) split the
+arrays by residue with one floor division per prime (p - p // q * q, which
+numpy does faster than %); the scanner wants many residues of the same
+modulus from one pass anyway.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque
@@ -63,15 +67,6 @@ class ResidueClass:
 
     def __str__(self) -> str:  # compact form for messages and file names
         return f"{self.r} mod {self.q}"
-
-
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Ordered primes found in [lo, hi] (both inclusive)."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -156,76 +151,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _segment_bounds(lo: int, hi: int, seg_len: int) -> list[tuple[int, int]]:
-    return [(a, min(a + seg_len - 1, hi)) for a in range(lo, hi + 1, seg_len)]
+def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.ndarray]:
+    """Stream the primes in [lo, hi] as int64 arrays, one per segment, in order.
 
-
-def iter_prime_segments(
-    lo: int,
-    hi: int,
-    *,
-    seg_len: int = DEFAULT_SEGMENT_LENGTH,
-    threads: int = 1,
-) -> Iterator[PrimeSegment]:
-    """Stream PrimeSegments covering [lo, hi] in order.
-
-    threads > 1 sieves segments concurrently but always yields them in
-    ascending order, so every consumer sees the same deterministic stream.
+    Each segment spans DEFAULT_SEGMENT_LENGTH numbers, read when the stream
+    starts, and its primes come from one sieve_interval call made through the
+    module attribute. threads > 1 sieves segments concurrently but always
+    yields them in ascending order, so every consumer sees the same
+    deterministic stream.
     Workers are capped at the CPUs the process can use, and at most
     workers + 2 sieved segments are held at once, so memory stays bounded
     whatever threads asks for.
     """
     _check_range(lo, hi)
-    if seg_len < 2:
-        raise ValueError("segment length too small")
     threads = min(threads, _usable_cpus())
     base = base_primes(math.isqrt(hi))
-    bounds = _segment_bounds(lo, hi, seg_len)
+    step = DEFAULT_SEGMENT_LENGTH
+    bounds = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
     if threads <= 1 or len(bounds) == 1:
         for a, b in bounds:
-            yield PrimeSegment(a, b, sieve_interval(a, b, base))
+            yield sieve_interval(a, b, base)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         it = iter(bounds)
-        for _ in range(min(len(bounds), threads + 2)):
-            a, b = next(it)
-            pending.append((a, b, pool.submit(sieve_interval, a, b, base)))
+        for a, b in itertools.islice(it, threads + 2):
+            pending.append(pool.submit(sieve_interval, a, b, base))
         while pending:
-            a, b, fut = pending.popleft()
-            arr = fut.result()
+            arr = pending.popleft().result()
             nxt = next(it, None)
             if nxt is not None:
-                pending.append((nxt[0], nxt[1], pool.submit(sieve_interval, nxt[0], nxt[1], base)))
-            yield PrimeSegment(a, b, arr)
-
-
-def iter_class_segments(
-    cls: ResidueClass,
-    lo: int,
-    hi: int,
-    *,
-    seg_len: int = DEFAULT_SEGMENT_LENGTH,
-    threads: int = 1,
-) -> Iterator[PrimeSegment]:
-    """Stream segments holding only primes p ≡ r (mod q), p in [lo, hi]."""
-    for seg in iter_prime_segments(lo, hi, seg_len=seg_len, threads=threads):
-        pr = seg.primes
-        yield PrimeSegment(seg.lo, seg.hi, pr.compress(pr - pr // cls.q * cls.q == cls.r))
+                pending.append(pool.submit(sieve_interval, *nxt, base))
+            yield arr
 
 
 def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:
     """pi(x; q, r): number of primes <= x in the class."""
     if x < 1:
         raise ValueError("x must be positive")
-    total = 0
-    for seg in iter_class_segments(cls, 1, x, threads=threads):
-        total += len(seg.primes)
-    return total
+    q, r = cls.q, cls.r
+    return sum(int(np.count_nonzero(p - p // q * q == r))
+               for p in iter_prime_segments(1, x, threads=threads))
 
 
 def count_all_primes(x: int, *, threads: int = 1) -> int:
     """pi(x) over all primes."""
     if x < 1:
         return 0
-    return sum(len(seg.primes) for seg in iter_prime_segments(1, x, threads=threads))
+    return sum(p.size for p in iter_prime_segments(1, x, threads=threads))

@@ -19,7 +19,7 @@ from apgaps.brun import (
     tau_estimate,
 )
 from apgaps.gapscan import gap_size_counts
-from apgaps.numutil import CONSTANTS, totient
+from apgaps.numutil import TWIN_PRIME_CONSTANT, totient
 from apgaps.sieve import ResidueClass
 
 from _oracles import singular_product_direct, trial_division_primes_in_class
@@ -54,7 +54,7 @@ class TestMeanSingularProduct:
     def test_printed_cases_exact(self, q, r, mult):
         sm = mean_singular_product(q, r)
         assert sm.multiplier == mult
-        assert sm.value == pytest.approx(float(mult) / CONSTANTS.pi2, rel=1e-10)
+        assert sm.value == pytest.approx(float(mult) / TWIN_PRIME_CONSTANT, rel=1e-10)
 
     def test_weighted_average_identity(self):
         # (1/p) mult(p,0) + ((p-1)/p) mult(p,1) = 1 exactly, every odd prime p <= 50

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import apgaps
 from apgaps import brun, evstats, trend
 from apgaps.brun import brun_partial_sum
 from apgaps.cli import (
@@ -135,8 +136,7 @@ class TestFitCommand:
         assert (got["alpha"], got["mu"], got["n_samples"]) == (fit.scale, fit.mode, want.size)
 
     def test_too_few_events_exit_4(self, tmp_path):
-        rc = run("fit", "--q", "6", "--r", "5", "--x-max", "50",
-                 "--window", "1:50", "--out", str(tmp_path))
+        rc = run("fit", "--q", "6", "--r", "5", "--window", "1:50", "--out", str(tmp_path))
         assert rc == EXIT_COMPUTE
 
     def test_too_few_samples_exit_2(self, tmp_path, capsys):
@@ -147,6 +147,15 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert rc == EXIT_BAD_INPUT
         assert captured.out == "" and f"{path} holds 3 samples" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_samples_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        rc = run("fit", "--q", "2", "--samples-csv", str(path),
+                 "--out", str(tmp_path / "out"))
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == "" and f"cannot read samples file {path}" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_histogram_density_consistent(self, tmp_path):
@@ -393,3 +402,19 @@ class TestImports:
         assert got["n_samples"] >= 50 and got["gev_shape"] is not None
         assert got["after_import"] == []
         assert got["after_runs"] == []
+
+    def test_public_names(self):
+        assert sorted(apgaps.__all__) == [
+            "BrunSum", "BudgetExceededError", "FitConvergenceError", "GapEvent", "GevFit",
+            "GumbelFit", "Histogram", "ResidueClass", "ScanResult", "SingularMean",
+            "TrendParams", "avg_gap", "baseline_trend", "brun_estimate", "brun_growth",
+            "brun_partial_sum", "build_histogram", "default_params",
+            "empirical_singular_mean", "fit_gev", "fit_gumbel", "fo_trend",
+            "gap_size_counts", "gumbel_cdf", "interval_record_table",
+            "inverse_limit_probe", "iter_prime_segments", "ks_statistic", "log_integral",
+            "log_integral_many", "maximal_trend", "mean_singular_product",
+            "predict_first_occurrence", "rescale", "rescale_many", "scan", "scan_many",
+            "singular_product", "tau", "tau_estimate", "totient", "twin_prime_constant",
+        ]
+        for name in apgaps.__all__:
+            assert getattr(apgaps, name) is not None

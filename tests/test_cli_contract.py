@@ -7,7 +7,9 @@ subcommands read argparse's namespace directly; the help texts were
 re-recorded when each subcommand kept only the options it reads. The rows that changed on
 purpose since then carry the old exit code in a comment: numeric options
 that used to fail inside the computation (exit 4) or be ignored are now
-rejected up front. Each argv runs in its own directory, which holds u.csv,
+rejected up front, and so are a missing samples file and a bound above the
+sieve's 2^63 - 1 ceiling (exit 4 before). fit sieves exactly to the top of
+its window, which the two --budget rows of the window 1e3:1e5 pin. Each argv runs in its own directory, which holds u.csv,
 a sample of 20 rescaled values. To print the help texts of the current code:
 
     PYTHONPATH=src python tests/test_cli_contract.py
@@ -84,6 +86,10 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 0", 2, True),
     ("brun --q 2 --r 1 --d 2 --x-max 1", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --x-max 1.5", 2, True),
+    ("scan --q 6 --r 1 --x-max 1e19 --budget 1e20", 2, True),  # was 4
+    ("scan --q 6 --r 1 --x-max 9223372036854775808 --budget 1e20", 2, True),  # was 4
+    ("fit --q 6 --window 1e3:1e19 --budget 1e20", 2, True),  # was 4
+    ("brun --q 2 --r 1 --d 2 --x-max 1e19 --budget 1e20", 2, True),  # was 4
     ("scan --q 6 --r 1 --x-max 100 --budget 1.5", 2, True),
     ("scan --q 6 --r 1 --x-max 100 --budget 0", 2, True),
     ("probe --q 2 --budget x", 2, True),
@@ -95,7 +101,10 @@ EXITS = [
     ("fit --q 6 --window 1e7:", 2, True),
     ("fit --q 6 --window :1e5", 2, True),
     ("fit --q 6 --window 0:10", 2, True),
-    ("fit --q 6 --r 5 --x-max 50 --window 1:50", 4, True),
+    ("fit --q 6 --r 5 --x-max 50 --window 1:50", 2, True),  # was 4
+    ("fit --q 6 --r 5 --window 1:50", 4, True),
+    # samples file
+    ("fit --q 2 --samples-csv missing.csv", 2, True),  # was 4
     # j-max
     ("counts --q 6 --j-max 0", 2, True),
     ("counts --q 6 --j-max -1", 2, True),
@@ -111,7 +120,9 @@ EXITS = [
     ("scan --q 6 --r 1 --x-max 1000000000000000001", 3, True),
     ("scan --q 6 --r 1 --x-max 100 --budget 99", 3, True),
     ("fit --q 6 --window 1e7:1e11", 3, True),
-    ("fit --q 6 --window 1e3:1e5 --x-max 1e11", 3, True),
+    ("fit --q 6 --window 1e3:1e5 --x-max 1e11", 2, True),  # was 3
+    ("fit --q 6 --window 1e3:1e5 --budget 1e5", 0, False),
+    ("fit --q 6 --window 1e3:1e5 --budget 99999", 3, True),
     ("brun --q 2 --r 1 --d 2 --x-max 1e11", 3, True),
     ("counts --q 6 --j-max 25 --budget 1e6", 3, True),
     ("counts --q 6 --j-max 30", 3, True),
@@ -128,8 +139,6 @@ EXITS = [
     # threads floor
     ("scan --q 6 --r 1 --x-max 100 --threads 0", 0, False),
     ("scan --q 6 --r 1 --x-max 100 --threads -4", 0, False),
-    # computation errors
-    ("fit --q 2 --samples-csv missing.csv", 4, True),
     # numeric options that reach the computation
     ("fit --q 6 --window 1e3:1e5 --bins 0", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --bins -3", 2, True),  # was 4

@@ -177,7 +177,7 @@ class TestNelderMeadMatchesScipy:
     @pytest.mark.parametrize("name,n,seed,max_iter", _NM_CASES)
     def test_bit_identical(self, name, n, seed, max_iter):
         u = _SAMPLERS[name](np.random.default_rng(seed), n)
-        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)  # fit_gev's start
+        alpha, mode = evstats._gumbel_mle(u)  # fit_gev's start
         x0 = np.array([alpha, mode, 0.0])
         res = self._scipy(u, x0, max_iter)
         x, converged = evstats._nelder_mead(lambda p: evstats._gev_nll(p, u), x0,
@@ -188,18 +188,19 @@ class TestNelderMeadMatchesScipy:
 
     @pytest.mark.parametrize("name,n,seed,max_iter",
                              [c for c in _NM_CASES if c[3] < 2000])
-    def test_failure_message_is_scipys(self, name, n, seed, max_iter):
+    def test_failure_message_is_scipys(self, name, n, seed, max_iter, monkeypatch):
         u = _SAMPLERS[name](np.random.default_rng(seed), n)
-        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)
+        alpha, mode = evstats._gumbel_mle(u)
         res = self._scipy(u, np.array([alpha, mode, 0.0]), max_iter)
+        monkeypatch.setattr(evstats, "_GEV_MAX_ITER", max_iter)
         with pytest.raises(FitConvergenceError) as info:
-            fit_gev(u, max_iter=max_iter)
+            fit_gev(u)
         assert str(info.value) == "GEV optimization failed: " + res.message
         assert (info.value.scale, info.value.mode) == (res.x[0], res.x[1])
 
     def test_fit_gev_uses_scipys_optimum(self):
         u = gumbel_samples(np.random.default_rng(31), 4000, 1.3, 0.2)
-        alpha, mode = evstats._gumbel_mle(u, 200, 1e-12)
+        alpha, mode = evstats._gumbel_mle(u)
         res = self._scipy(u, np.array([alpha, mode, 0.0]), 2000)
         fit = fit_gev(u)
         assert (fit.scale, fit.location, fit.shape) == (
@@ -210,6 +211,12 @@ class TestKsStatistic:
     def test_singleton(self):
         d = ks_statistic([0.0], lambda x: np.full_like(np.asarray(x, float), 0.5))
         assert d == 0.5
+
+    @pytest.mark.parametrize("cdf", [lambda x: 0.5, lambda x: np.full(x.size + 1, 0.5)],
+                             ids=["scalar", "longer"])
+    def test_cdf_of_wrong_shape_rejected(self, cdf):
+        with pytest.raises(ValueError, match="shape"):
+            ks_statistic([0.0, 1.0, 2.0], cdf)
 
     def test_perfectly_spaced_quantiles(self):
         n = 40

@@ -35,7 +35,7 @@ class TestScanExamples:
         assert res.n_maximal == 2
         first, second = res.events
         assert (first.start_prime, first.end_prime, first.size) == (5, 11, 6)
-        assert first.is_maximal and first.is_first_occurrence
+        assert first.is_maximal
         assert (first.maximal_index, first.fo_index) == (1, 1)
         assert (second.start_prime, second.end_prime, second.size) == (29, 41, 12)
         assert (second.maximal_index, second.fo_index) == (2, 2)
@@ -49,7 +49,7 @@ class TestScanExamples:
         res = scan(ResidueClass(6, 5), 11)
         assert len(res.events) == 1
         ev = res.events[0]
-        assert ev.size == 6 and ev.is_maximal and ev.is_first_occurrence
+        assert ev.size == 6 and ev.is_maximal
 
     def test_empty_when_one_prime(self):
         res = scan(ResidueClass(6, 5), 7)
@@ -272,7 +272,12 @@ class TestInvariants:
         assert len(sizes) == len(set(sizes))
 
     def test_maximal_implies_fo(self, result):
-        assert all(e.is_first_occurrence for e in result.events if e.is_maximal)
+        # the event list holds every first occurrence, so a maximal event must
+        # outgrow all events before it and carry its own fo index
+        for i, e in enumerate(result.events):
+            if e.is_maximal:
+                assert all(e.size > prev.size for prev in result.events[:i])
+                assert e.fo_index == i + 1
 
     def test_counts_match_flags(self, result):
         assert result.n_maximal == sum(e.is_maximal for e in result.events)
@@ -369,8 +374,7 @@ class TestRecordBounds:
     def test_synthetic_violation(self):
         # R(1) = 1 fails the strict lower bound phi(7)*1/6 = 1 < R(1)
         ev = GapEvent(start_prime=29, end_prime=30, size=1, is_maximal=True,
-                      is_first_occurrence=True, maximal_index=1, fo_index=1,
-                      csg=0.1)
+                      maximal_index=1, fo_index=1, csg=0.1)
         fake = ScanResult(cls=ResidueClass(7, 1), x_max=100, events=[ev],
                           n_maximal=1, n_first_occurrence=1)
         bad = check_record_bounds(fake)
@@ -384,7 +388,7 @@ class TestExports:
 
     def test_csv_round_trip(self, res, tmp_path):
         path = tmp_path / "events.csv"
-        write_events_csv(res, str(path))
+        write_events_csv([res], str(path))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(res.events)
@@ -402,7 +406,7 @@ class TestExports:
 
     def test_json_round_trip(self, res, tmp_path):
         path = tmp_path / "events.json"
-        write_events_json(res, str(path))
+        write_events_json([res], str(path))
         data = json.loads(path.read_text())
         assert len(data) == len(res.events)
         for item, ev in zip(data, res.events):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from apgaps import numutil
 from apgaps.numutil import (
-    CONSTANTS,
+    EULER_GAMMA,
     LI_AT_2,
+    PI2_INV,
+    TWIN_PRIME_CONSTANT,
     lcm2,
     log_integral,
     log_integral_many,
@@ -251,11 +253,12 @@ class TestTwinPrimeConstant:
 
 class TestConstants:
     def test_inverse_pair(self):
-        assert abs(CONSTANTS.pi2 * CONSTANTS.pi2_inv - 1.0) < 1e-12
+        assert PI2_INV == 1.0 / TWIN_PRIME_CONSTANT
+        assert abs(TWIN_PRIME_CONSTANT * PI2_INV - 1.0) < 1e-12
 
     def test_ranges(self):
-        assert 0.6601 < CONSTANTS.pi2 < 0.6602
-        assert 0.5772 < CONSTANTS.euler_gamma < 0.5773
+        assert 0.6601 < TWIN_PRIME_CONSTANT < 0.6602
+        assert 0.5772 < EULER_GAMMA < 0.5773
 
     def test_li_offset(self):
-        assert CONSTANTS.li_offset == LI_AT_2
+        assert LI_AT_2 == pytest.approx(mp_li(2.0), rel=1e-15)

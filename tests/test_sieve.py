@@ -1,5 +1,6 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from apgaps import sieve
 from apgaps.numutil import log_integral, totient
 from apgaps.sieve import (
     MAX_SIEVE_BOUND,
-    PrimeSegment,
     ResidueClass,
     base_primes,
     count_all_primes,
-    iter_class_segments,
     iter_prime_segments,
     prime_count,
     sieve_interval,
@@ -23,8 +22,16 @@ from apgaps.sieve import (
 from _oracles import small_primes, trial_division_primes_in_class
 
 
+def segment_primes(lo, hi, seg_len=sieve.DEFAULT_SEGMENT_LENGTH, threads=1):
+    """The segment arrays of [lo, hi], sieved with segments seg_len numbers long."""
+    with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+        return list(iter_prime_segments(lo, hi, threads=threads))
+
+
 def collect(cls, lo, hi, **kw):
-    return [p for seg in iter_class_segments(cls, lo, hi, **kw) for p in seg.primes.tolist()]
+    """The primes of the class in [lo, hi], filtered segment by segment."""
+    return [p for seg in segment_primes(lo, hi, **kw)
+            for p in seg.compress(seg % cls.q == cls.r).tolist()]
 
 
 class TestResidueClass:
@@ -115,7 +122,7 @@ class TestPrimeCount:
         x = 10**8
         counts = np.zeros(211, dtype=np.int64)
         for seg in iter_prime_segments(1, x):
-            counts += np.bincount(seg.primes % 211, minlength=211)
+            counts += np.bincount(seg % 211, minlength=211)
         expect = log_integral(x) / totient(211)
         for r in range(1, 211):
             assert abs(counts[r] - expect) / expect < 0.05
@@ -175,14 +182,13 @@ class TestDifferential:
     @settings(max_examples=100, deadline=None)
     @given(cls=residue_classes(), lo=starts, width=widths,
            seg_len=st.integers(2, 4_000), threads=st.integers(1, 3))
-    def test_iter_class_segments(self, cls, lo, width, seg_len, threads):
+    def test_iter_prime_segments(self, cls, lo, width, seg_len, threads):
         hi = lo + width
-        segs = list(iter_class_segments(cls, lo, hi, seg_len=seg_len, threads=threads))
-        assert segs[0].lo == lo and segs[-1].hi == hi
-        assert all(a.hi + 1 == b.lo for a, b in zip(segs, segs[1:]))
-        for seg in segs:
-            assert all(seg.lo <= p <= seg.hi for p in seg.primes.tolist())
-        got = [p for seg in segs for p in seg.primes.tolist()]
+        segs = segment_primes(lo, hi, seg_len, threads)
+        assert len(segs) == -(-(width + 1) // seg_len)
+        assert all(seg.dtype == np.int64 for seg in segs)
+        assert [p for seg in segs for p in seg.tolist()] == trial_division(lo, hi)
+        got = [p for seg in segs for p in seg.compress(seg % cls.q == cls.r).tolist()]
         want = trial_division_primes_in_class(cls.q, cls.r, hi)
         assert got == [p for p in want.tolist() if p >= lo]
 
@@ -285,23 +291,13 @@ class TestBoundedWorkers:
         monkeypatch.setattr(sieve, "sieve_interval", traced)
         before = threading.active_count()
         got = []
-        for done, seg in enumerate(iter_prime_segments(1, 10**5, seg_len=2**11, threads=64), 1):
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**11)
+        for done, seg in enumerate(iter_prime_segments(1, 10**5, threads=64), 1):
             peak["threads"] = max(peak["threads"], threading.active_count())
             peak["in_flight"] = max(peak["in_flight"], started[0] - done)
-            got.extend(seg.primes.tolist())
+            got.extend(seg.tolist())
         assert got == small_primes(10**5)
         assert started[0] == 49
         assert peak["threads"] - before <= (cap if cap > 1 else 0)
         assert peak["in_flight"] <= cap + 2
 
-
-class TestSegmentType:
-    def test_invariants_hold_on_real_segment(self):
-        cls = ResidueClass(6, 5)
-        for seg in iter_class_segments(cls, 1, 10**5):
-            assert isinstance(seg, PrimeSegment)
-            if seg.primes.size:
-                assert seg.lo <= seg.primes[0]
-                assert seg.primes[-1] <= seg.hi
-                assert np.all(np.diff(seg.primes) > 0)
-                assert np.all(seg.primes % 6 == 5)

@@ -173,8 +173,7 @@ class TestRescale:
         x = 10**8 + 7
         d = fo_trend(2, x, p)
         ev = GapEvent(start_prime=x - int(d), end_prime=x, size=int(d),
-                      is_maximal=False, is_first_occurrence=True,
-                      maximal_index=None, fo_index=9, csg=0.5)
+                      is_maximal=False, maximal_index=None, fo_index=9, csg=0.5)
         u = rescale(ev, cls, p)
         # size is the integer truncation of the trend, so |u| < 1/a
         assert abs(u) <= 1.0 / avg_gap(2, x) + 1e-12
@@ -183,11 +182,9 @@ class TestRescale:
         cls = ResidueClass(6, 1)
         p = default_params(6)
         base = GapEvent(start_prime=9973 - 36, end_prime=9973, size=36,
-                        is_maximal=False, is_first_occurrence=True,
-                        maximal_index=None, fo_index=3, csg=0.1)
+                        is_maximal=False, maximal_index=None, fo_index=3, csg=0.1)
         shifted = GapEvent(start_prime=9973 - 48, end_prime=9973, size=48,
-                           is_maximal=False, is_first_occurrence=True,
-                           maximal_index=None, fo_index=4, csg=0.1)
+                           is_maximal=False, maximal_index=None, fo_index=4, csg=0.1)
         du = rescale(shifted, cls, p) - rescale(base, cls, p)
         assert du == pytest.approx(12 / avg_gap(6, 9973), rel=1e-12)
 
