@@ -2,12 +2,13 @@
 
 Each subcommand accepts only the options its cmd_x(args) reads and checks them
 before any work; argparse parses --budget, and main checks only --q
-(2 <= q <= MAX_MODULUS). scan and brun sieve to --x-max and fit to the top of
---window; each bound is checked before sieving, first against the sieve's
-2^63 - 1 ceiling and then against --budget. Exit codes: 0 success, 2 invalid
-input, 3 sieve budget exceeded, 4 computation error. The same arguments give
-byte-identical files whatever --threads is. JSON numbers use Python float repr (shortest
-round trip); CSV floats carry 10 digits.
+(2 <= q <= MAX_MODULUS). scan and brun sieve to --x-max, fit to the top of
+--window and counts to floor(e^(j-max + 1)); each bound is checked before
+sieving, first against the sieve's 2^63 - 1 ceiling and then against
+--budget. Exit codes: 0 success, 2 invalid input, 3 sieve budget exceeded,
+4 computation error. The same arguments give byte-identical files whatever
+--threads is. JSON numbers use Python float repr (shortest round trip); CSV
+floats carry 10 digits.
 """
 
 from __future__ import annotations
@@ -260,8 +261,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.j_max < 1:
         raise UsageError("j-max must be >= 1")
-    table = gapscan.interval_record_table(args.q, args.j_max, threads=args.threads,
-                                          budget=args.budget)
+    try:
+        x_needed = math.floor(math.exp(args.j_max + 1))
+    except OverflowError:  # past float range, so past the sieve ceiling
+        raise UsageError(f"j-max {args.j_max} needs a bound above the sieve ceiling 2^63 - 1")
+    _check_budget(args, x_needed)
+    table = gapscan.interval_record_table(args.q, args.j_max, threads=args.threads)
     out = _outdir(args)
     path = os.path.join(out, f"counts_q{args.q}.csv")
     with open(path, "w", newline="") as fh:
@@ -381,14 +386,12 @@ def cmd_probe(args: argparse.Namespace) -> int:
 # Parsing and dispatch
 
 
-_SIEVING = ("--seed", "--threads", "--budget")
+_SIEVING = ("--threads", "--budget")
 _TREND = ("--b1", "--b2", "--c0", "--c1")
 _SHARED = {
     "--r": dict(default="all", help="residues: 'all', a comma list, or a..b ranges"),
     "--out": dict(default=None, help="output directory"),
     "--format": dict(choices=("csv", "json"), default="csv"),
-    "--seed": dict(type=int, default=0,
-                   help="unused: nothing is randomized and the seed is not recorded"),
     "--threads": dict(type=int, default=1),  # below 1 the sieve runs serially
     "--budget": dict(type=_parse_x, default=DEFAULT_BUDGET,
                      help="max numbers sieved per run (default 1e10)"),

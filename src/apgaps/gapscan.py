@@ -226,7 +226,6 @@ def interval_record_table(
     j_max: int,
     *,
     threads: int = 1,
-    budget: Optional[int] = None,
 ) -> list[tuple[int, float, float]]:
     """Mean record counts per interval (e^j, e^{j+1}], averaged over coprime r.
 
@@ -236,15 +235,7 @@ def interval_record_table(
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    try:
-        x_needed = math.floor(math.exp(j_max + 1))
-    except OverflowError:
-        if budget is None:
-            raise
-        x_needed = math.inf  # past float range, so past any budget
-    if budget is not None and x_needed > budget:
-        raise BudgetExceededError(
-            f"interval table to j={j_max} needs sieving to {x_needed} > budget {budget}")
+    x_needed = math.floor(math.exp(j_max + 1))
     rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
     results = scan_many(q, rs, x_needed, threads=threads)
     # bucket j covers integers in (floor(e^j), floor(e^{j+1})]

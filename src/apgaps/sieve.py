@@ -14,18 +14,21 @@ vectorized pass over the base primes, so the Python loop only slices.
 of ``DEFAULT_SEGMENT_LENGTH`` numbers, read when the stream starts. The
 length counts the numbers a segment spans, not mask bytes: the default 2^21
 gives a 1 MiB mask, which stays in a 2 MiB L2 cache together with its primes.
-The consumers (``prime_count`` here, the pair stream in gapscan) split the
-arrays by residue with one floor division per prime (p - p // q * q, which
-numpy does faster than %); the scanner wants many residues of the same
-modulus from one pass anyway.
+Each segment is struck (``_strike``: pattern copy and slice loop) and then
+read out (``_read_out``: the mask's true entries as numbers). With
+threads > 1 the stream strikes on the consumer's thread and reads out on
+one helper thread: the readout is a few long numpy calls that release the
+GIL, while the strike loop's short slices would trade the GIL back and
+forth if two threads ran them at once. The consumers (``prime_count``
+here, the pair stream in gapscan) split the arrays by residue with one
+floor division per prime (p - p // q * q, which numpy does faster than %);
+the scanner wants many residues of the same modulus from one pass anyway.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -73,7 +76,7 @@ def base_primes(limit: int) -> np.ndarray:
     """All primes <= limit, sieved as the single interval [1, limit]."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return _sieve_odd(1, limit)
+    return _read_out(1, limit, _strike(1, limit))
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -83,22 +86,29 @@ def _check_range(lo: int, hi: int) -> None:
         raise OverflowError("sieve bound exceeds 2^63 - 1")
 
 
-def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
+def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
+                   mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] as an int64 array.
 
     base, when given, must hold every odd prime <= isqrt(hi) in ascending
-    order (the output of base_primes); other entries are ignored.
+    order (the output of base_primes); other entries are ignored. mask,
+    when given, is the struck mask that _strike built for the same [lo, hi],
+    and only the primes are read out of it.
     """
     _check_range(lo, hi)
-    return _sieve_odd(lo, hi, base)
+    if mask is None:
+        mask = _strike(lo, hi, base)
+    return _read_out(lo, hi, mask)
 
 
-def _sieve_odd(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
-    # Private, so the base-prime recursion adds no calls to the public
-    # functions that tracing and profiling see.
+# _strike and _read_out are private, so the base-prime recursion adds no
+# calls to the public functions that tracing and profiling see.
+def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
+    """The odd-only mask of [lo, hi] with every composite struck."""
     root = math.isqrt(hi)
     if base is None:
-        base = _sieve_odd(1, root) if root > _PRESIEVED[-1] else np.empty(0, dtype=np.int64)
+        base = (_read_out(1, root, _strike(1, root)) if root > _PRESIEVED[-1]
+                else np.empty(0, dtype=np.int64))
     o0 = lo | 1
     mask = _presieved(o0, (hi - o0) // 2 + 1)
     if o0 <= _PRESIEVED[-1]:
@@ -111,6 +121,12 @@ def _sieve_odd(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarra
               : np.searchsorted(base, root, side="right")]
     for i, p in zip(_first_strikes(o0, ps).tolist(), ps.tolist()):
         mask[i::p] = False
+    return mask
+
+
+def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
+    """The primes of [lo, hi] from its struck odd-only mask, with 2 added."""
+    o0 = lo | 1
     out = np.flatnonzero(mask).astype(np.int64, copy=False)
     out *= 2
     out += o0
@@ -156,12 +172,12 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
 
     Each segment spans DEFAULT_SEGMENT_LENGTH numbers, read when the stream
     starts, and its primes come from one sieve_interval call made through the
-    module attribute. threads > 1 sieves segments concurrently but always
-    yields them in ascending order, so every consumer sees the same
-    deterministic stream.
-    Workers are capped at the CPUs the process can use, and at most
-    workers + 2 sieved segments are held at once, so memory stays bounded
-    whatever threads asks for.
+    module attribute. With threads > 1, capped at the CPUs the process can
+    use, the calling thread strikes every segment and one helper thread
+    reads the primes out of its mask: segment k is read out while segment
+    k - 1 is yielded, so at most two segments are held at once and any
+    threads above 2 run like 2. The stream is the same for every threads
+    value.
     """
     _check_range(lo, hi)
     threads = min(threads, _usable_cpus())
@@ -172,17 +188,14 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
         for a, b in bounds:
             yield sieve_interval(a, b, base)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        it = iter(bounds)
-        for a, b in itertools.islice(it, threads + 2):
-            pending.append(pool.submit(sieve_interval, a, b, base))
-        while pending:
-            arr = pending.popleft().result()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append(pool.submit(sieve_interval, *nxt, base))
-            yield arr
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None
+        for a, b in bounds:
+            ready = helper.submit(sieve_interval, a, b, base, _strike(a, b, base))
+            if pending is not None:
+                yield pending.result()
+            pending = ready
+        yield pending.result()
 
 
 def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:

@@ -8,8 +8,11 @@ re-recorded when each subcommand kept only the options it reads. The rows that c
 purpose since then carry the old exit code in a comment: numeric options
 that used to fail inside the computation (exit 4) or be ignored are now
 rejected up front, and so are a missing samples file and a bound above the
-sieve's 2^63 - 1 ceiling (exit 4 before). fit sieves exactly to the top of
-its window, which the two --budget rows of the window 1e3:1e5 pin. Each argv runs in its own directory, which holds u.csv,
+sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a j-max whose
+bound is past float range, exit 3 before). The unused --seed option is
+gone, and the help texts were re-recorded without it. fit sieves exactly to
+the top of its window, which the two --budget rows of the window 1e3:1e5
+pin. Each argv runs in its own directory, which holds u.csv,
 a sample of 20 rescaled values. To print the help texts of the current code:
 
     PYTHONPATH=src python tests/test_cli_contract.py
@@ -126,7 +129,8 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 1e11", 3, True),
     ("counts --q 6 --j-max 25 --budget 1e6", 3, True),
     ("counts --q 6 --j-max 30", 3, True),
-    ("counts --q 6 --j-max 800", 3, True),
+    ("counts --q 6 --j-max 43 --budget 1e20", 2, True),  # was 4
+    ("counts --q 6 --j-max 800", 2, True),  # was 3
     # probe x
     ("probe --q 2 --x inf", 2, True),
     ("probe --q 2 --x nan", 2, True),
@@ -155,6 +159,11 @@ EXITS = [
     ("meanprod --q 30 --r 3 --seed 1", 2, True),  # was 0
     ("predict --q 2 --d 5 --threads 2", 2, True),  # was 0
     ("probe --q 2 --x 1e6 --out o", 2, True),  # was 0
+    # the unused --seed, removed
+    ("scan --q 6 --r 1 --x-max 100 --seed 1", 2, True),  # was 0
+    ("fit --q 2 --samples-csv u.csv --seed 1", 2, True),  # was 0
+    ("counts --q 6 --j-max 3 --seed 1", 2, True),  # was 0
+    ("brun --q 2 --r 1 --d 2 --x-max 100 --seed 1", 2, True),  # was 0
 ]
 
 

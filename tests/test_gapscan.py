@@ -352,17 +352,6 @@ class TestIntervalCounts:
     def test_row_count(self):
         assert len(interval_record_table(6, 10)) == 10
 
-    def test_budget_honored(self):
-        from apgaps.gapscan import BudgetExceededError
-        with pytest.raises(BudgetExceededError):
-            interval_record_table(6, 30, budget=10**6)
-
-    def test_budget_past_float_range(self):
-        # e^801 overflows a float; it is still a bound past the budget
-        from apgaps.gapscan import BudgetExceededError
-        with pytest.raises(BudgetExceededError):
-            interval_record_table(6, 800, budget=10**10)
-
 
 class TestRecordBounds:
     def test_clean_class_6_5(self):

@@ -4,7 +4,9 @@ The digests in golden_sha256.json were recorded from the code as it was
 before record detection moved to a table of seen gap sizes (the runs
 scan-q8, scan-q7-r2 and brun-d4-q4 from the code before the class-pair
 stream yielded gaps in place of start primes, and brun-d3-q3 from the
-code before every pair was keyed by gap // q), so any change to an
+code before every pair was keyed by gap // q, and scan-q211-t2-1e7 and
+counts-q6 from the code before the threaded sieve split striking from
+readout), so any change to an
 artifact's bytes, however small, fails here. Each run goes into its
 own directory with a relative ``--out``, so the paths printed on stdout do
 not depend on where the tests run. To print the digests of the current code:
@@ -37,6 +39,9 @@ RUNS = {
     "brun-d4-q4": ["brun", "--d", "4", "--q", "4", "--r", "3", "--x-max", "1e6"],
     # the odd gap 2 -> 5 runs through brun's carried sum
     "brun-d3-q3": ["brun", "--d", "3", "--q", "3", "--r", "2", "--x-max", "1e6"],
+    # five segments, so the threaded sieve hands readouts to its helper
+    "scan-q211-t2-1e7": ["scan", "--q", "211", "--r", "all", "--x-max", "1e7", "--threads", "2"],
+    "counts-q6": ["counts", "--q", "6", "--j-max", "12"],
 }
 
 

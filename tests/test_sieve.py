@@ -267,11 +267,11 @@ class TestPreSievedMask:
 
 
 class TestBoundedWorkers:
-    """threads=64 starts no more workers than the process has CPUs.
+    """threads=64 starts at most one helper thread and holds two segments.
 
-    49 segments of 2^11 numbers, so even an uncapped pool starts at most 49
-    threads. Peaks are sampled in the workers and at every yielded segment;
-    a segment is in flight from the start of its sieving until it is yielded.
+    49 segments of 2^11 numbers. Peaks are sampled in the readouts and at
+    every yielded segment; a segment is in flight from the start of its
+    strike until the consumer has taken it and asks for the next one.
     """
 
     @pytest.mark.parametrize("cpus", [None, 1, 3])
@@ -279,25 +279,51 @@ class TestBoundedWorkers:
         if cpus is not None:
             monkeypatch.setattr(sieve, "_usable_cpus", lambda: cpus)
         cap = sieve._usable_cpus()
-        inner = sieve.sieve_interval
-        started = [0]
+        inner, strike = sieve.sieve_interval, sieve._strike
+        calls = {"strikes": 0, "readouts": 0}
         peak = {"threads": 0, "in_flight": 0}
 
+        def traced_strike(lo, hi, base=None):
+            # a segment's strike; the base primes' own strike has no base
+            calls["strikes"] += base is not None
+            return strike(lo, hi, base)
+
         def traced(*args):
-            started[0] += 1
+            calls["readouts"] += 1
             peak["threads"] = max(peak["threads"], threading.active_count())
             return inner(*args)
 
+        monkeypatch.setattr(sieve, "_strike", traced_strike)
         monkeypatch.setattr(sieve, "sieve_interval", traced)
         before = threading.active_count()
         got = []
         monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**11)
-        for done, seg in enumerate(iter_prime_segments(1, 10**5, threads=64), 1):
+        for done, seg in enumerate(iter_prime_segments(1, 10**5, threads=64)):
             peak["threads"] = max(peak["threads"], threading.active_count())
-            peak["in_flight"] = max(peak["in_flight"], started[0] - done)
+            peak["in_flight"] = max(peak["in_flight"], calls["strikes"] - done)
             got.extend(seg.tolist())
         assert got == small_primes(10**5)
-        assert started[0] == 49
-        assert peak["threads"] - before <= (cap if cap > 1 else 0)
-        assert peak["in_flight"] <= cap + 2
+        assert calls["readouts"] == 49
+        assert peak["threads"] - before <= (1 if cap > 1 else 0)
+        assert peak["in_flight"] <= 2
 
+    def test_consumer_strikes_and_helper_reads_out(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+        inner, strike = sieve.sieve_interval, sieve._strike
+        strikers, readers = set(), set()
+
+        def traced_strike(*args):
+            strikers.add(threading.get_ident())
+            return strike(*args)
+
+        def traced(*args):
+            readers.add(threading.get_ident())
+            return inner(*args)
+
+        monkeypatch.setattr(sieve, "_strike", traced_strike)
+        monkeypatch.setattr(sieve, "sieve_interval", traced)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**11)
+        got = [p for seg in iter_prime_segments(1, 10**5, threads=2) for p in seg.tolist()]
+        assert got == small_primes(10**5)
+        assert strikers == {threading.get_ident()}
+        assert len(readers) == 1 and readers != strikers
