@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgaps import brun, gapscan, sieve
+from apgaps import brun, cli, gapscan, sieve
 from apgaps.gapscan import (
     GapEvent,
     ScanResult,
@@ -351,6 +351,20 @@ class TestIntervalCounts:
 
     def test_row_count(self):
         assert len(interval_record_table(6, 10)) == 10
+
+    # counts checks the table's bound floor(e^(j-max + 1)) before it builds it
+    def test_budget_honored(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(gapscan, "interval_record_table") as table:
+            assert cli.main("counts --q 6 --j-max 30 --budget 1e6".split()) == 3
+        table.assert_not_called()
+
+    def test_budget_past_float_range(self, tmp_path, monkeypatch):
+        # e^801 overflows a float; the bound is past the sieve ceiling
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(gapscan, "interval_record_table") as table:
+            assert cli.main("counts --q 6 --j-max 800 --budget 1e10".split()) == 2
+        table.assert_not_called()
 
 
 class TestRecordBounds:
