@@ -17,6 +17,7 @@ from .brun import (
     singular_product,
     tau_estimate,
 )
+from .cli import BudgetExceededError
 from .evstats import (
     FitConvergenceError,
     GevFit,
@@ -29,7 +30,6 @@ from .evstats import (
     ks_statistic,
 )
 from .gapscan import (
-    BudgetExceededError,
     GapEvent,
     ScanResult,
     gap_size_counts,

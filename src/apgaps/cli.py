@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from . import brun, evstats, gapscan, trend
-from .gapscan import BudgetExceededError
 from .numutil import MAX_MODULUS
 from .sieve import MAX_SIEVE_BOUND, ResidueClass
 
@@ -39,6 +38,10 @@ DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
 
 class UsageError(argparse.ArgumentTypeError):
     """Invalid command input (exit code 2), also as the type error of --budget."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a request would sieve more numbers than --budget allows (exit code 3)."""
 
 
 def _parse_x(text: str) -> int:

@@ -25,7 +25,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,12 +34,9 @@ from .numutil import totient
 from .sieve import ResidueClass
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when a request would sieve more numbers than the configured budget."""
+class GapEvent(NamedTuple):
+    """One first-occurrence gap; a tuple, so a scan builds many cheaply."""
 
-
-@dataclass(frozen=True)
-class GapEvent:
     start_prime: int
     end_prime: int
     size: int
@@ -163,22 +160,16 @@ def scan_many(
         unseen[fresh_key] = False
         fresh_rows = (fresh_key >> shift).tolist()
         for row, e, v in zip(fresh_rows, ends[fresh].tolist(), gaps[fresh].tolist()):
-            is_max = v > running_max[row]
-            if is_max:
+            evs = events[row]
+            csg = v / (phi * math.log(e) ** 2)
+            # positional, as keywords cost more per event: start, end, size,
+            # is_maximal, maximal_index, fo_index, csg
+            if v > running_max[row]:
                 running_max[row] = v
                 n_max[row] += 1
-            evs = events[row]
-            evs.append(
-                GapEvent(
-                    start_prime=e - v,
-                    end_prime=e,
-                    size=v,
-                    is_maximal=is_max,
-                    maximal_index=n_max[row] if is_max else None,
-                    fo_index=len(evs) + 1,
-                    csg=v / (phi * math.log(e) ** 2),
-                )
-            )
+                evs.append(GapEvent(e - v, e, v, True, n_max[row], len(evs) + 1, csg))
+            else:
+                evs.append(GapEvent(e - v, e, v, False, None, len(evs) + 1, csg))
     return {
         r: ScanResult(cls=classes[r], x_max=x_max, events=events[i],
                       n_maximal=n_max[i], n_first_occurrence=len(events[i]))

@@ -64,22 +64,30 @@ def lcm2(q: int) -> int:
 # 32-point Gauss-Legendre rule on [-1, 1]; composite panels below.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-# Cap on quadrature nodes evaluated per numpy pass (2 MiB per float64
-# temporary). A chunk holds whole integrals, at least one.
-_CHUNK_NODES = 1 << 18
+# Cap on quadrature nodes evaluated per numpy pass: 2^15 float64 nodes are
+# 256 KB, which stays in L2. A chunk holds whole integrals, at least one, so
+# a single row deeper than the cap gets a pass of its own.
+_CHUNK_NODES = 1 << 15
 
 
-def _panel_quad_inv_log(edges: np.ndarray) -> np.ndarray:
+def _panel_quad_inv_log(edges: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Composite Gauss-Legendre for integral of dt/log t, one row of edges each.
 
-    Each row's nodes form one contiguous block, summed on its own, so a row
-    gets the same bits as it would alone.
+    The terms are computed in place in the front of buf, which must hold
+    rows * panels * 32 float64s. Each row's nodes form one contiguous block,
+    summed on its own, so a row gets the same bits as it would alone; np.log
+    runs on the contiguous block too, as a strided call may round otherwise.
     """
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    t = mid[:, :, None] + half[:, :, None] * _GL_NODES
-    terms = half[:, :, None] * (_GL_WEIGHTS / np.log(t))
-    return terms.reshape(len(edges), -1).sum(axis=1)
+    t = buf[: half.size * _GL_NODES.size]
+    t3 = t.reshape(*half.shape, _GL_NODES.size)
+    np.multiply(half[:, :, None], _GL_NODES, out=t3)
+    t3 += mid[:, :, None]
+    np.log(t, out=t)
+    np.divide(_GL_WEIGHTS, t3, out=t3)
+    t3 *= half[:, :, None]
+    return t.reshape(len(edges), -1).sum(axis=1)
 
 
 def _adaptive_inv_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,24 +95,30 @@ def _adaptive_inv_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Panels are geometric. Every element starts at 8 panels and keeps the
     value of the first level at which it agrees with the level before (or the
-    12th level's value).
+    12th level's value). Each level's edges come from one geomspace call over
+    the unconverged rows; the nodes go through chunks of at most _CHUNK_NODES
+    in one buffer, sized to the largest chunk so far.
     """
     out = np.full(a.size, math.inf)  # the previous level's value until converged
     todo = np.arange(a.size)
+    buf = np.empty(0)
     panels = 8
     for _ in range(12):
         if not todo.size:
             break
-        per_chunk = max(1, _CHUNK_NODES // (panels * len(_GL_NODES)))
-        left = []
+        row_nodes = panels * _GL_NODES.size
+        per_chunk = max(1, _CHUNK_NODES // row_nodes)
+        need = min(todo.size, per_chunk) * row_nodes
+        if buf.size < need:
+            buf = np.empty(need)
+        edges = np.geomspace(a[todo], b[todo], panels + 1, axis=-1)
+        val = np.empty(todo.size)
         for start in range(0, todo.size, per_chunk):
-            idx = todo[start : start + per_chunk]
-            edges = np.geomspace(a[idx], b[idx], panels + 1, axis=-1)
-            val = _panel_quad_inv_log(edges)
-            done = np.abs(val - out[idx]) <= 1e-13 * np.maximum(1.0, np.abs(val))
-            left.append(idx[~done])
-            out[idx] = val
-        todo = np.concatenate(left)
+            val[start : start + per_chunk] = _panel_quad_inv_log(
+                edges[start : start + per_chunk], buf)
+        done = np.abs(val - out[todo]) <= 1e-13 * np.maximum(1.0, np.abs(val))
+        out[todo] = val
+        todo = todo[~done]
         panels *= 2
     return out
 
@@ -146,7 +160,8 @@ def log_integral_many(xs) -> np.ndarray:
 
     Element for element bit-identical to log_integral, which is this function
     on one element. Above 2 the quadrature runs in chunks of at most
-    _CHUNK_NODES nodes, so temporaries stay a few MB whatever the batch size;
+    _CHUNK_NODES nodes through one reused buffer, so its nodes take 256 KB
+    whatever the batch size (more only for a row that alone needs more);
     below 2, _li_below_two evaluates a series or a continued fraction.
     """
     x = np.asarray(xs, dtype=np.float64).reshape(-1)

@@ -70,25 +70,25 @@ def _check_domain(q: int, x: float) -> None:
         raise ValueError("avg_gap needs x > 2")
 
 
-# The trend formulas proper, with li(x) passed in so batches can evaluate it
-# once for all points (numutil.log_integral_many).
+# The trend formulas proper, with li(x) and a = _avg_gap(phi, x, li(x)) passed
+# in, so batches evaluate li once for all points (numutil.log_integral_many)
+# and a once per point.
 
 
 def _avg_gap(phi: int, x: float, li_x: float) -> float:
     return x * phi / li_x
 
 
-def _baseline_trend(q: int, phi: int, x: float, li_x: float) -> float:
-    a = _avg_gap(phi, x, li_x)
+def _baseline_trend(q: int, x: float, a: float, li_x: float) -> float:
     ratio = li_x / a
     if ratio <= 1.0:
         raise ValueError(f"baseline trend undefined at q={q}, x={x}: li(x)/a <= 1")
     return a * math.log(ratio)
 
 
-def _fo_trend(q: int, phi: int, x: float, li_x: float, params: TrendParams) -> float:
-    t0 = _baseline_trend(q, phi, x, li_x)
-    return t0 + (params.c0 - params.c1 * math.log(math.log(x))) * _avg_gap(phi, x, li_x)
+def _fo_trend(q: int, x: float, a: float, li_x: float, params: TrendParams) -> float:
+    t0 = _baseline_trend(q, x, a, li_x)
+    return t0 + (params.c0 - params.c1 * math.log(math.log(x))) * a
 
 
 def avg_gap(q: int, x: float) -> float:
@@ -100,7 +100,8 @@ def avg_gap(q: int, x: float) -> float:
 def baseline_trend(q: int, x: float) -> float:
     """T0(q, x) = a log(li(x)/a); defined while li(x)/a > 1."""
     _check_domain(q, x)
-    return _baseline_trend(q, totient(q), x, log_integral(x))
+    li_x = log_integral(x)
+    return _baseline_trend(q, x, _avg_gap(totient(q), x, li_x), li_x)
 
 
 def maximal_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
@@ -120,7 +121,8 @@ def fo_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
         raise ValueError("fo_trend needs x > e")
     if params is None:
         params = default_params(q)
-    return _fo_trend(q, totient(q), x, log_integral(x), params)
+    li_x = log_integral(x)
+    return _fo_trend(q, x, _avg_gap(totient(q), x, li_x), li_x, params)
 
 
 def rescale(event, cls: ResidueClass, params: Optional[TrendParams] = None) -> float:
@@ -150,8 +152,9 @@ def rescale_many(q: int, end_primes: Sequence[int], sizes: Sequence[int],
         params = default_params(q)
     phi = totient(q)
     li = log_integral_many(end_primes).tolist()
-    return np.array([(d - _fo_trend(q, phi, x, li_x, params)) / _avg_gap(phi, x, li_x)
-                     for x, d, li_x in zip(end_primes, sizes, li)], dtype=np.float64)
+    a = [_avg_gap(phi, x, li_x) for x, li_x in zip(end_primes, li)]
+    return np.array([(d - _fo_trend(q, x, a_x, li_x, params)) / a_x
+                     for x, d, li_x, a_x in zip(end_primes, sizes, li, a)], dtype=np.float64)
 
 
 def trend_points(q: int, xs: Sequence[int],
@@ -169,9 +172,9 @@ def trend_points(q: int, xs: Sequence[int],
     xs = [x for x in xs if x > E]
     out = []
     for x, li_x in zip(xs, log_integral_many(xs).tolist()):
+        a = _avg_gap(phi, x, li_x)
         try:
-            out.append((x, _baseline_trend(q, phi, x, li_x),
-                        _fo_trend(q, phi, x, li_x, params)))
+            out.append((x, _baseline_trend(q, x, a, li_x), _fo_trend(q, x, a, li_x, params)))
         except ValueError:
             continue  # trend undefined this early
     return out

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import threading
 from collections import Counter, defaultdict
 from unittest import mock
 
@@ -228,6 +229,29 @@ class TestPairStreamDifferential:
         assert gap_size_counts(ResidueClass(7, 2), 10**4)[21] == 1
 
 
+class TestGapEvent:
+    """Events are named tuples: fixed field order, immutable, built by keyword too."""
+
+    FIELDS = ("start_prime", "end_prime", "size", "is_maximal", "maximal_index",
+              "fo_index", "csg")
+
+    def test_field_order(self):
+        assert GapEvent._fields == self.FIELDS
+
+    def test_keyword_equals_positional(self):
+        ev = GapEvent(start_prime=9973 - 36, end_prime=9973, size=36, is_maximal=False,
+                      maximal_index=None, fo_index=3, csg=0.1)
+        assert ev == GapEvent(9937, 9973, 36, False, None, 3, 0.1)
+        assert (ev.start_prime, ev.size, ev.maximal_index, ev.fo_index) == (9937, 36, None, 3)
+
+    def test_fields_cannot_be_assigned(self):
+        ev = scan(ResidueClass(6, 5), 50).events[0]
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 0)
+        assert ev == GapEvent(5, 11, 6, True, 1, 1, 6 / (2 * math.log(11) ** 2))
+
+
 class TestSieveContract:
     """Every prime the pipelines see comes through sieve.sieve_interval.
 
@@ -237,12 +261,15 @@ class TestSieveContract:
 
     PI_1E6 = 78_498
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("run", [
+    RUNS = [
         lambda t: scan_many(6, [1], 10**6, threads=t),
         lambda t: scan_many(211, range(1, 211), 10**6, threads=t),
         lambda t: brun.brun_growth(2, ResidueClass(2, 1), [10**6], threads=t),
-    ], ids=["scan-q6", "scan-q211-all", "brun-twin"])
+    ]
+    RUN_IDS = ["scan-q6", "scan-q211-all", "brun-twin"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
     def test_sieved_primes_are_pi_x(self, run, threads, monkeypatch):
         counted = []
         interval = sieve.sieve_interval
@@ -255,6 +282,27 @@ class TestSieveContract:
         monkeypatch.setattr(sieve, "sieve_interval", counting)
         run(threads)
         assert sum(counted) == self.PI_1E6
+
+    @pytest.mark.parametrize("run", RUNS, ids=RUN_IDS)
+    def test_helper_thread_primes_are_pi_x(self, run, monkeypatch):
+        # 2^17-number segments put 1e6 in 8 of them, so threads = 2 takes
+        # the threaded branch and every readout runs on the helper thread
+        counted, readers = [], set()
+        interval = sieve.sieve_interval
+
+        def counting(*args, **kwargs):
+            readers.add(threading.get_ident())
+            primes = interval(*args, **kwargs)
+            counted.append(len(primes))
+            return primes
+
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**17)
+        monkeypatch.setattr(sieve, "sieve_interval", counting)
+        run(2)
+        assert len(counted) == 8
+        assert sum(counted) == self.PI_1E6
+        assert len(readers) == 1 and threading.get_ident() not in readers
 
 
 @pytest.fixture(scope="module")

@@ -225,6 +225,40 @@ class TestLogIntegralMany:
         monkeypatch.setattr(numutil, "_CHUNK_NODES", 3 * 8 * 32)
         assert log_integral_many(xs).tolist() == want
 
+    def test_chunk_below_one_row_exact(self, monkeypatch):
+        # 100 nodes is under one 8-panel row (256 nodes): each pass holds one
+        # row, and the buffer grows as the panels double; 2^63 - 1 runs a
+        # third level
+        rng = np.random.default_rng(20261019)
+        xs = [2**63 - 1, 10**18 + 9, 2**62, 3.0, 5e7 + 3] + \
+            np.exp(rng.uniform(1.0, 43.6, 20)).tolist()
+        want = [scalar_li(x) for x in xs]
+        passes = []
+        quad = numutil._panel_quad_inv_log
+
+        def spy(edges, buf):
+            passes.append((len(edges), buf.size))
+            return quad(edges, buf)
+
+        monkeypatch.setattr(numutil, "_CHUNK_NODES", 100)
+        monkeypatch.setattr(numutil, "_panel_quad_inv_log", spy)
+        assert log_integral_many(xs).tolist() == want
+        assert {rows for rows, _ in passes} == {1}
+        assert sorted({size for _, size in passes}) == [256, 512, 1024]
+
+    @pytest.mark.parametrize("chunk_nodes", [None, 3 * 8 * 32 + 100])
+    def test_rows_not_dividing_chunk_exact(self, chunk_nodes, monkeypatch):
+        # 301 rows against 128 per chunk at the first level (default), or
+        # 7 rows against 3 then 1 per chunk
+        rng = np.random.default_rng(17)
+        n = 301 if chunk_nodes is None else 7
+        xs = np.exp(rng.uniform(0.7, 43.6, n)).tolist()
+        xs[n // 2] = 2**63 - 1
+        want = [scalar_li(x) for x in xs]
+        if chunk_nodes is not None:
+            monkeypatch.setattr(numutil, "_CHUNK_NODES", chunk_nodes)
+        assert log_integral_many(xs).tolist() == want
+
     def test_empty(self):
         assert log_integral_many([]).shape == (0,)
 
