@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +18,9 @@ from . import sieve as sievemod
 from .gapscan import _class_pairs
 from .numutil import PI2_INV, _prime_factors, lcm2, log_integral, totient
 from .sieve import ResidueClass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,8 @@ def mean_singular_product(q: int, r: int) -> SingularMean:
     sizes, not primes. Odd primes dividing both q and r contribute p/(p-1),
     those dividing q but not r contribute p(p-2)/(p-1)^2, everything else 1.
     """
+    from fractions import Fraction  # only here: scan, fit and brun never load it
+
     if q < 1 or not 0 <= r < q:
         raise ValueError("need q >= 1 and 0 <= r < q")
     mult = Fraction(1)

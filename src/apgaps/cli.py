@@ -318,7 +318,9 @@ def cmd_brun(args: argparse.Namespace) -> int:
     cls = ResidueClass(q, r) if math.gcd(q, r) == 1 else ResidueClass.unchecked(q, r)
     _check_budget(args, x_max)
     lo = min(max(100, d + 1), x_max)
-    xs = sorted({int(round(v)) for v in np.geomspace(lo, x_max, args.points)} | {x_max})
+    # float rounding can carry a point above 2^53 past x_max: clamp it back
+    xs = sorted({min(int(round(v)), x_max) for v in np.geomspace(lo, x_max, args.points)}
+                | {x_max})
     growth = brun.brun_growth(d, cls, xs, threads=args.threads)
     out = _outdir(args)
     path = os.path.join(out, f"brun_d{d}_q{q}_r{r}.csv")

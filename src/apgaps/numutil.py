@@ -61,8 +61,34 @@ def lcm2(q: int) -> int:
     return q if q % 2 == 0 else 2 * q
 
 
-# 32-point Gauss-Legendre rule on [-1, 1]; composite panels below.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# 32-point Gauss-Legendre rule on [-1, 1]; composite panels below. The
+# positive nodes and their weights are those of
+# np.polynomial.legendre.leggauss(32), written with repr, which round-trips
+# a float64 exactly; literals spare every start numpy.polynomial and its
+# 32 x 32 eigen-solve. leggauss symmetrizes its output (x = (x - x[::-1]) / 2,
+# w = (w + w[::-1]) / 2, then one common weight scale), so its negative half
+# is the exact mirror of the positive half, as built here.
+_GL_HALF = np.array([
+    # node                 weight
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
+])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
 
 # Cap on quadrature nodes evaluated per numpy pass: 2^15 float64 nodes are
 # 256 KB, which stays in L2. A chunk holds whole integrals, at least one, so

@@ -19,7 +19,10 @@ read out (``_read_out``: the mask's true entries as numbers). With
 threads > 1 the stream strikes on the consumer's thread and reads out on
 one helper thread: the readout is a few long numpy calls that release the
 GIL, while the strike loop's short slices would trade the GIL back and
-forth if two threads ran them at once. The consumers (``prime_count``
+forth if two threads ran them at once. The helper is a plain thread fed
+through two queues, one of struck masks and one of results; an exception
+raised in a readout is re-raised on the consumer's thread, and closing the
+stream stops the helper and joins it. The consumers (``prime_count``
 here, the pair stream in gapscan) split the arrays by residue with one
 floor division per prime (p - p // q * q, which numpy does faster than %);
 the scanner wants many residues of the same modulus from one pass anyway.
@@ -29,7 +32,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -40,9 +44,14 @@ DEFAULT_SEGMENT_LENGTH = 1 << 21
 
 # The pre-sieve pattern: entry j tells whether 2j + 1 has no factor among
 # _PRESIEVED. It holds two periods, so any window of _PERIOD is one slice.
+# 2j + 1 is an odd multiple of p exactly where j = p // 2 mod p, so each
+# prime is one slice (p itself included), and no integer array is built.
 _PRESIEVED = (3, 5, 7, 11, 13)
 _PERIOD = math.prod(_PRESIEVED)
-_PATTERN = np.tile(np.gcd(np.arange(1, 2 * _PERIOD, 2), _PERIOD) == 1, 2)
+_PATTERN = np.ones(2 * _PERIOD, dtype=bool)
+for _p in _PRESIEVED:
+    _PATTERN[_p // 2 :: _p] = False
+del _p
 
 
 @dataclass(frozen=True)
@@ -176,8 +185,11 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
     use, the calling thread strikes every segment and one helper thread
     reads the primes out of its mask: segment k is read out while segment
     k - 1 is yielded, so at most two segments are held at once and any
-    threads above 2 run like 2. The stream is the same for every threads
-    value.
+    threads above 2 run like 2. The helper takes struck masks from one
+    queue and puts results on another; an exception raised in a readout is
+    re-raised here, on the consumer's thread, and closing the stream (or
+    an exception) stops the helper and joins it. The stream is the same for
+    every threads value.
     """
     _check_range(lo, hi)
     threads = min(threads, _usable_cpus())
@@ -188,14 +200,39 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
         for a, b in bounds:
             yield sieve_interval(a, b, base)
         return
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = None
-        for a, b in bounds:
-            ready = helper.submit(sieve_interval, a, b, base, _strike(a, b, base))
-            if pending is not None:
-                yield pending.result()
-            pending = ready
-        yield pending.result()
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    # a daemon, so a stream left unclosed at exit cannot keep the interpreter up
+    helper = threading.Thread(target=_read_out_jobs, args=(jobs, results), daemon=True)
+    helper.start()
+    try:
+        for k, (a, b) in enumerate(bounds):
+            jobs.put((a, b, base, _strike(a, b, base)))
+            if k:
+                yield _take(results)
+        yield _take(results)
+    finally:
+        jobs.put(None)
+        helper.join()
+
+
+def _read_out_jobs(jobs: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+    """The helper thread: one sieve_interval per job, until the job None.
+
+    Each result, or the exception that the readout raised, goes on results.
+    """
+    while (job := jobs.get()) is not None:
+        try:
+            results.put(sieve_interval(*job))
+        except BaseException as exc:
+            results.put(exc)
+
+
+def _take(results: queue.SimpleQueue) -> np.ndarray:
+    """The next readout's primes; its exception, if it raised one, is raised here."""
+    got = results.get()
+    if isinstance(got, BaseException):
+        raise got
+    return got
 
 
 def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:

@@ -275,6 +275,25 @@ class TestSmallCommands:
         rows = list(csv.DictReader((tmp_path / "brun_d2_q2_r1.csv").open()))
         assert rows and max(int(r["x"]) for r in rows) == x_max
 
+    @pytest.mark.parametrize("x_max", [2**63 - 1, 2**53 + 3])
+    def test_brun_checkpoints_end_at_x_max(self, x_max, monkeypatch, tmp_path, capsys):
+        # geomspace points above 2^53 round through float; none may pass x_max
+        seen = []
+
+        def no_sieve(d, cls, xs, *, threads=1):
+            seen.extend(xs)
+            return [brun.BrunSum(d=d, cls=cls, x=x, partial_sum=0.0, pair_count=0)
+                    for x in xs]
+
+        monkeypatch.setattr(brun, "brun_growth", no_sieve)
+        rc = run("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", str(x_max),
+                 "--budget", "1e19", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        assert seen and all(x <= x_max for x in seen) and seen[-1] == x_max
+        assert json.loads(capsys.readouterr().out)["x_max"] == x_max
+        rows = list(csv.DictReader((tmp_path / "brun_d2_q2_r1.csv").open()))
+        assert int(rows[-1]["x"]) == x_max
+
     @pytest.mark.parametrize("argv,option", [
         (("fit", "--q", "6", "--window", "1e3:1e5", "--bins", "0"), "bins"),
         (("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", "1e4", "--points", "-1"),
@@ -367,41 +386,58 @@ class TestDeterminism:
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    # modules that none of scan, fit and brun use
+    UNUSED = ("scipy", "numpy.polynomial", "concurrent.futures", "logging", "fractions")
 
-    from apgaps import cli
-    after_import = scipy_modules()
+    def unused_modules():
+        return sorted(m for m in sys.modules
+                      if any(m == u or m.startswith(u + ".") for u in UNUSED))
+
+    import apgaps, apgaps.cli
+    after_import = unused_modules()
+    apgaps.sieve.DEFAULT_SEGMENT_LENGTH = 1 << 15  # several segments: the helper runs
     out = sys.argv[1]
     runs = [
-        ["scan", "--q", "6", "--r", "1", "--x-max", "1e5", "--out", out],
-        ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e5", "--out", out],
-        ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e6", "--out", out],
+        ["scan", "--q", "6", "--r", "1", "--x-max", "1e5"],
+        ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e5"],
+        ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e6"],
     ]
     codes = []
-    for argv in runs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            codes.append(cli.main(argv))
+    for threads in ("1", "2"):
+        for argv in runs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                codes.append(apgaps.cli.main(argv + ["--threads", threads, "--out", out]))
     fit = json.loads(buf.getvalue())
     print(json.dumps({"codes": codes, "after_import": after_import,
-                      "after_runs": scipy_modules(), "n_samples": fit["n_samples"],
+                      "after_runs": unused_modules(), "n_samples": fit["n_samples"],
                       "gev_shape": fit["gev_shape"]}))
 """)
 
 
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """_IMPORT_PROBE's report from a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path_factory.mktemp("probe"))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestImports:
-    def test_pipeline_commands_load_no_scipy(self, tmp_path):
-        # scan, brun and a fit that reaches fit_gev, in a fresh interpreter
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
-        assert got["codes"] == [EXIT_OK] * 3
-        assert got["n_samples"] >= 50 and got["gev_shape"] is not None
-        assert got["after_import"] == []
-        assert got["after_runs"] == []
+    def test_pipeline_commands_load_no_scipy(self, import_probe):
+        # scan, brun and a fit that reaches fit_gev, at threads 1 and 2
+        assert import_probe["codes"] == [EXIT_OK] * 6
+        assert import_probe["n_samples"] >= 50 and import_probe["gev_shape"] is not None
+        assert [m for m in import_probe["after_import"] if m.startswith("scipy")] == []
+        assert [m for m in import_probe["after_runs"] if m.startswith("scipy")] == []
+
+    def test_import_and_pipeline_runs_load_nothing_unused(self, import_probe):
+        # nor numpy.polynomial, concurrent.futures, logging or fractions
+        assert import_probe["after_import"] == []
+        assert import_probe["after_runs"] == []
 
     def test_public_names(self):
         assert sorted(apgaps.__all__) == [

@@ -296,3 +296,10 @@ class TestConstants:
 
     def test_li_offset(self):
         assert LI_AT_2 == pytest.approx(mp_li(2.0), rel=1e-15)
+
+    def test_gauss_legendre_table_is_leggauss(self):
+        # the literal half-table and its mirror, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        assert numutil._GL_NODES.dtype == numutil._GL_WEIGHTS.dtype == np.float64
+        assert numutil._GL_NODES.tobytes() == nodes.tobytes()
+        assert numutil._GL_WEIGHTS.tobytes() == weights.tobytes()

@@ -258,6 +258,12 @@ class TestPreSievedMask:
         got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
         assert got.tolist() == [first_strike(o0, p) for p in ps]
 
+    def test_pattern_is_the_gcd_table(self):
+        odd = PERIOD // 2  # 15,015 odd numbers in one period
+        want = np.tile(np.gcd(np.arange(1, 2 * odd, 2), odd) == 1, 2)
+        assert sieve._PATTERN.dtype == bool
+        assert np.array_equal(sieve._PATTERN, want)
+
     def test_first_strikes_at_the_ceiling(self):
         root = math.isqrt(MAX_SIEVE_BOUND)  # odd, so root^2 is the last odd square
         ps = [17, root - 2, root]
@@ -327,3 +333,52 @@ class TestBoundedWorkers:
         assert got == small_primes(10**5)
         assert strikers == {threading.get_ident()}
         assert len(readers) == 1 and readers != strikers
+
+    def test_readout_exception_reaches_the_consumer(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**11)
+        inner = sieve.sieve_interval
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ArithmeticError("readout 3 failed")
+            return inner(*args)
+
+        monkeypatch.setattr(sieve, "sieve_interval", failing)
+        before = threading.active_count()
+        got = []
+        with pytest.raises(ArithmeticError, match="^readout 3 failed$"):
+            for seg in iter_prime_segments(1, 10**5, threads=2):
+                got.append(seg)
+        assert len(got) == 2  # the two segments read out before the failure
+        assert threading.active_count() == before
+
+    def test_break_stops_and_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", 2**11)
+        inner, strike = sieve.sieve_interval, sieve._strike
+        calls = {"strikes": 0, "readouts": 0}
+
+        def traced_strike(lo, hi, base=None):
+            calls["strikes"] += base is not None
+            return strike(lo, hi, base)
+
+        def traced(*args):
+            calls["readouts"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(sieve, "_strike", traced_strike)
+        monkeypatch.setattr(sieve, "sieve_interval", traced)
+        before = threading.active_count()
+        stream = iter_prime_segments(1, 10**5, threads=2)
+        for seg in stream:
+            assert threading.active_count() == before + 1
+            break
+        submitted = calls["strikes"]
+        stream.close()
+        assert threading.active_count() == before
+        # segments 1 and 2 were in flight at the break; nothing after them
+        assert submitted == calls["strikes"] == calls["readouts"] == 2
+        assert seg.tolist() == small_primes(2**11)
