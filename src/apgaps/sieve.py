@@ -1,19 +1,26 @@
 """Segmented prime generation over [lo, hi], optionally restricted to a residue class.
 
-Each segment is sieved over its odd numbers only: mask entry i stands for
-(lo | 1) + 2i, and the prime 2 is added back by hand. The mask does not start
-all true. It is copied from a pattern of the 15,015 odd numbers of one
-period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with the multiples of 3, 5, 7, 11
-and 13 already struck; those five primes are set back where they fall in
-the interval, and 1 is cleared. The base primes from 17 up then strike their
-odd multiples with step p in the mask (2p in the numbers). Their first mask
-indices, each at the first odd multiple >= max(p^2, lo | 1), come from one
-vectorized pass over the base primes, so the Python loop only slices.
+Each segment is sieved on a mod-6 wheel: only the numbers 6k + 1 and 6k + 5
+have an entry. The mask spans whole 6-blocks, from the one holding lo to
+the one holding hi, so with b0 = 6 * (lo // 6) mask entry e stands for
+b0 + 6 * (e // 2) + (1, 5)[e & 1], which is (3e + b0 + 1) | 1, and a number w
+of the wheel has entry (w - b0) // 3. The entries of the end blocks that
+lie outside [lo, hi] are cleared, and the primes 2 and 3 are added back by
+hand. The mask does not start all true. It is copied from a pattern of the
+10,010 wheel numbers of one period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with
+the multiples of 5, 7, 11 and 13 already struck; those four primes are set
+back where they fall in the interval, and 1 is cleared. The base primes p
+from 17 up then strike their multiples p * m with m = 1 (mod 6) and with
+m = 5 (mod 6): each of the two is one slice of step 2p in the mask (6p in
+the numbers). Their first mask indices, at the first such multiples
+>= max(p^2, lo), come from one vectorized pass over the base primes, so the
+Python loop only slices.
 
 ``iter_prime_segments`` streams plain int64 prime arrays, one per segment
 of ``DEFAULT_SEGMENT_LENGTH`` numbers, read when the stream starts. The
 length counts the numbers a segment spans, not mask bytes: the default 2^21
-gives a 1 MiB mask, which stays in a 2 MiB L2 cache together with its primes.
+gives a mask of 699,052 entries (683 KiB), which stays in a 2 MiB L2 cache
+together with its primes.
 Each segment is struck (``_strike``: pattern copy and slice loop) and then
 read out (``_read_out``: the mask's true entries as numbers). With
 threads > 1 the stream strikes on the consumer's thread and reads out on
@@ -42,15 +49,18 @@ import numpy as np
 MAX_SIEVE_BOUND = (1 << 63) - 1
 DEFAULT_SEGMENT_LENGTH = 1 << 21
 
-# The pre-sieve pattern: entry j tells whether 2j + 1 has no factor among
-# _PRESIEVED. It holds two periods, so any window of _PERIOD is one slice.
-# 2j + 1 is an odd multiple of p exactly where j = p // 2 mod p, so each
-# prime is one slice (p itself included), and no integer array is built.
-_PRESIEVED = (3, 5, 7, 11, 13)
-_PERIOD = math.prod(_PRESIEVED)
-_PATTERN = np.ones(2 * _PERIOD, dtype=bool)
+# The pre-sieve pattern: entry j tells whether the wheel number (3j + 1) | 1
+# has no factor among _PRESIEVED. One period is _BLOCKS 6-blocks of two
+# entries each, and the pattern holds two periods, so any window of one
+# period is one slice. The wheel multiples of p are p * m with m = 1 and
+# m = 5 (mod 6), each a slice of step 2p from entry p * m // 3 (p itself
+# included), so no integer array is built.
+_PRESIEVED = (5, 7, 11, 13)
+_BLOCKS = math.prod(_PRESIEVED)
+_PATTERN = np.ones(4 * _BLOCKS, dtype=bool)
 for _p in _PRESIEVED:
-    _PATTERN[_p // 2 :: _p] = False
+    _PATTERN[_p // 3 :: 2 * _p] = False
+    _PATTERN[5 * _p // 3 :: 2 * _p] = False
 del _p
 
 
@@ -99,10 +109,10 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] as an int64 array.
 
-    base, when given, must hold every odd prime <= isqrt(hi) in ascending
-    order (the output of base_primes); other entries are ignored. mask,
-    when given, is the struck mask that _strike built for the same [lo, hi],
-    and only the primes are read out of it.
+    base, when given, must hold every prime from 17 to isqrt(hi) in
+    ascending order (the output of base_primes); other entries are ignored.
+    mask, when given, is the struck mask that _strike built for the same
+    [lo, hi], and only the primes are read out of it.
     """
     _check_range(lo, hi)
     if mask is None:
@@ -113,42 +123,50 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
 # _strike and _read_out are private, so the base-prime recursion adds no
 # calls to the public functions that tracing and profiling see.
 def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
-    """The odd-only mask of [lo, hi] with every composite struck."""
+    """The wheel mask of [lo, hi] with every composite struck.
+
+    It holds 2 * (hi // 6 - lo // 6 + 1) entries, two per 6-block.
+    """
     root = math.isqrt(hi)
     if base is None:
         base = (_read_out(1, root, _strike(1, root)) if root > _PRESIEVED[-1]
                 else np.empty(0, dtype=np.int64))
-    o0 = lo | 1
-    mask = _presieved(o0, (hi - o0) // 2 + 1)
-    if o0 <= _PRESIEVED[-1]:
-        if o0 == 1:
-            mask[0] = False
-        for p in _PRESIEVED:
-            if o0 <= p <= hi:
-                mask[(p - o0) // 2] = True
+    mask = _presieved(lo // 6, 2 * (hi // 6 - lo // 6 + 1))
     ps = base[np.searchsorted(base, _PRESIEVED[-1], side="right")
               : np.searchsorted(base, root, side="right")]
-    for i, p in zip(_first_strikes(o0, ps).tolist(), ps.tolist()):
-        mask[i::p] = False
+    for i, step in zip(_first_strikes(lo, ps).tolist(), (2 * ps).tolist() * 2):
+        mask[i::step] = False
+    if lo <= _PRESIEVED[-1]:
+        for p in _PRESIEVED:
+            if lo <= p <= hi:
+                mask[(p - lo + lo % 6) // 3] = True
+    # the end blocks' entries outside [lo, hi], and 1
+    if lo % 6 > 1 or lo == 1:
+        mask[0] = False
+    if hi % 6 < 5:
+        mask[-1] = False
+        if hi % 6 == 0:
+            mask[-2] = False
     return mask
 
 
 def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
-    """The primes of [lo, hi] from its struck odd-only mask, with 2 added."""
-    o0 = lo | 1
+    """The primes of [lo, hi] from its struck wheel mask, with 2 and 3 added."""
     out = np.flatnonzero(mask).astype(np.int64, copy=False)
-    out *= 2
-    out += o0
-    if lo <= 2 <= hi:
-        out = np.concatenate((np.array([2], dtype=np.int64), out))
+    out *= 3
+    out += lo - lo % 6 + 1
+    out |= 1
+    if lo <= 3:
+        out = np.concatenate((np.array([p for p in (2, 3) if lo <= p <= hi],
+                                       dtype=np.int64), out))
     return out
 
 
-def _presieved(o0: int, n: int) -> np.ndarray:
-    """The odd-only mask of n entries from o0, with the pattern's strikes."""
+def _presieved(b: int, n: int) -> np.ndarray:
+    """The wheel mask of n entries from 6-block b, with the pattern's strikes."""
     mask = np.empty(n, dtype=bool)
-    j0 = (o0 >> 1) % _PERIOD
-    k = min(n, _PERIOD)
+    j0 = 2 * (b % _BLOCKS)
+    k = min(n, 2 * _BLOCKS)
     mask[:k] = _PATTERN[j0 : j0 + k]
     while k < n:  # mask[:k] holds whole periods: double it
         c = min(k, n - k)
@@ -157,15 +175,21 @@ def _presieved(o0: int, n: int) -> np.ndarray:
     return mask
 
 
-def _first_strikes(o0: int, ps: np.ndarray) -> np.ndarray:
-    """Mask index of each odd prime p's first odd multiple >= max(p^2, o0).
+def _first_strikes(lo: int, ps: np.ndarray) -> np.ndarray:
+    """Wheel indices of each prime's first multiples p * m >= max(p^2, lo).
 
-    o0 is odd. No product exceeds p^2 <= hi, so nothing overflows int64 up to
-    MAX_SIEVE_BOUND.
+    The first len(ps) indices are those with m = 1 (mod 6), the next
+    len(ps) those with m = 5 (mod 6), counted from the block 6 * (lo // 6).
+    Each p is coprime to 6 with p^2 <= hi, the end of the mask. The only
+    number formed is a = max(p^2, lo) <= hi; the rest are offsets from the
+    mask's first block, below a - 6 * (lo // 6) + 6p, so nothing overflows
+    int64 up to MAX_SIEVE_BOUND.
     """
-    t = (-o0) % ps  # o0 + t is the first multiple of p >= o0
-    t += (t & 1) * ps  # an even multiple: step to the next, odd one
-    return np.maximum(t >> 1, (ps * ps - o0) >> 1)
+    a = np.maximum(ps * ps, lo)
+    t = (-a) % ps  # a + t is the first multiple of p >= a
+    m = (a % 6 + t % 6) * ps % 6  # its cofactor mod 6: p * p = 1 (mod 6)
+    d = a - (lo - lo % 6) + t  # the offset of a + t from the first block
+    return np.concatenate([(d + (c - m) % 6 * ps) // 3 for c in (1, 5)])
 
 
 def _usable_cpus() -> int:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apgaps import sieve
@@ -155,7 +155,7 @@ def trial_division(lo, hi):
 
 
 class TestDifferential:
-    """Odd-only sieve against trial division over random intervals."""
+    """Wheel sieve against trial division over random intervals."""
 
     @settings(max_examples=300, deadline=None)
     @given(lo=starts, width=widths)
@@ -202,19 +202,40 @@ def check_against_trial_division(lo, hi, with_base):
     assert sieve_interval(lo, hi, base).tolist() == trial_division(lo, hi)
 
 
-def first_strike(o0, p):
-    """Mask index of p's first odd multiple >= max(p^2, o0), in Python ints."""
-    m = -(-max(p * p, o0) // p) * p
-    if m % 2 == 0:
-        m += p
-    return (m - o0) // 2
+ROOT = math.isqrt(MAX_SIEVE_BOUND)  # 5 (mod 6)
+WHEEL = st.tuples(st.integers(3, (ROOT + 1) // 6), st.sampled_from([-1, 1])).map(
+    lambda t: 6 * t[0] + t[1])  # numbers from 17 up, coprime to 6
+
+
+def first_strikes(lo, p):
+    """Wheel indices of p's first multiples p * m >= max(p^2, lo) with m = 1, 5 (mod 6).
+
+    In Python ints, counted from 6 * (lo // 6).
+    """
+    got = []
+    for c in (1, 5):
+        m = -(-max(p * p, lo) // p)
+        m += (c - m) % 6
+        got.append((p * m - lo // 6 * 6) // 3)
+    return got
+
+
+def check_first_strikes(lo, ps):
+    got = sieve._first_strikes(lo, np.array(ps, dtype=np.int64)).tolist()
+    want = [first_strikes(lo, p) for p in ps]
+    assert got == [w[0] for w in want] + [w[1] for w in want]
+
+
+def wheel_numbers(lo, hi):
+    """The numbers the wheel mask of [lo, hi] stands for, entry by entry."""
+    return [6 * b + c for b in range(lo // 6, hi // 6 + 1) for c in (1, 5)]
 
 
 class TestPreSievedMask:
-    """The pre-sieved mask and its vectorized first strikes.
+    """The pre-sieved wheel mask and its vectorized first strikes.
 
     Intervals cross several pattern periods, start at and next to their
-    bounds, and hold the pre-sieved primes 3, 5, 7, 11 and 13 themselves.
+    bounds, and hold the pre-sieved primes 5, 7, 11 and 13 themselves.
     """
 
     def test_every_small_interval(self):
@@ -248,28 +269,64 @@ class TestPreSievedMask:
     def test_low_starts(self, lo, width, with_base):
         check_against_trial_division(lo, lo + width, with_base)
 
-    @settings(max_examples=200, deadline=None)
-    @given(o0=st.one_of(st.integers(0, 10**6),
-                        st.integers(0, 10**12).map(lambda k: MAX_SIEVE_BOUND // 2 - k)
-                        ).map(lambda j: 2 * j + 1),
-           ps=st.lists(st.integers(8, math.isqrt(MAX_SIEVE_BOUND) // 2).map(
-               lambda j: 2 * j + 1), min_size=1, max_size=20))
-    def test_first_strikes_exact(self, o0, ps):
-        got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
-        assert got.tolist() == [first_strike(o0, p) for p in ps]
+    @settings(max_examples=150, deadline=None)
+    # k = 0..2 are the 6-blocks of 1..17, where 2, 3 and 5..13 are set by hand
+    @given(k=st.one_of(st.integers(0, 2), st.integers(0, 10**9)), lo_res=st.integers(0, 5),
+           blocks=st.one_of(st.integers(0, 3), st.integers(0, 2_000)),
+           hi_res=st.integers(0, 5), seg_blocks=st.integers(0, 400),
+           seg_res=st.integers(1, 5), threads=st.integers(1, 3), with_base=st.booleans())
+    def test_every_residue_of_lo_and_hi(self, k, lo_res, blocks, hi_res, seg_blocks,
+                                        seg_res, threads, with_base):
+        lo, hi = 6 * k + lo_res, 6 * (k + blocks) + hi_res
+        assume(1 <= lo <= hi)
+        want = trial_division(lo, hi)
+        base = base_primes(math.isqrt(hi)) if with_base else None
+        assert sieve_interval(lo, hi, base).tolist() == want
+        assert len(sieve._strike(lo, hi)) == 2 * (hi // 6 - lo // 6 + 1)
+        # segments that are not whole 6-blocks, so each starts at another residue
+        segs = segment_primes(lo, hi, 6 * seg_blocks + seg_res, threads)
+        assert [p for seg in segs for p in seg.tolist()] == want
 
-    def test_pattern_is_the_gcd_table(self):
-        odd = PERIOD // 2  # 15,015 odd numbers in one period
-        want = np.tile(np.gcd(np.arange(1, 2 * odd, 2), odd) == 1, 2)
-        assert sieve._PATTERN.dtype == bool
-        assert np.array_equal(sieve._PATTERN, want)
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(1, 10**12),
+           ps=st.lists(WHEEL.filter(lambda p: p <= 10**6), min_size=1, max_size=20))
+    def test_first_strikes_exact(self, lo, ps):
+        check_first_strikes(lo, ps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.integers(0, 10**12).map(lambda k: MAX_SIEVE_BOUND - k),
+           ps=st.lists(WHEEL.filter(lambda p: p <= ROOT), min_size=1, max_size=20))
+    def test_first_strikes_near_the_ceiling(self, lo, ps):
+        check_first_strikes(lo, ps)
 
     def test_first_strikes_at_the_ceiling(self):
-        root = math.isqrt(MAX_SIEVE_BOUND)  # odd, so root^2 is the last odd square
-        ps = [17, root - 2, root]
-        for o0 in (MAX_SIEVE_BOUND, MAX_SIEVE_BOUND - 2, root * root, root * root + 2):
-            got = sieve._first_strikes(o0, np.array(ps, dtype=np.int64))
-            assert got.tolist() == [first_strike(o0, p) for p in ps]
+        ps = [17, 19, ROOT - 6, ROOT - 4, ROOT]
+        for lo in [MAX_SIEVE_BOUND - k for k in range(6)] + [ROOT * ROOT + k for k in (-6, 0, 6)]:
+            check_first_strikes(lo, ps)
+
+    def test_pattern_is_the_gcd_table(self):
+        wheel = np.array(wheel_numbers(0, 2 * PERIOD - 1))  # two periods
+        assert wheel.size == sieve._PATTERN.size
+        assert sieve._PATTERN.dtype == bool
+        assert np.array_equal(sieve._PATTERN, np.gcd(wheel, 5 * 7 * 11 * 13) == 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.integers(0, 10**4).map(lambda k: MAX_SIEVE_BOUND - k),
+           width=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 300)),
+           ps=st.lists(WHEEL.filter(lambda p: p <= ROOT), max_size=20))
+    def test_strike_near_the_ceiling(self, lo, width, ps):
+        # base primes near the ceiling run to 3.04e9, too many to sieve here;
+        # the mask is checked against the strikes of the given numbers only,
+        # most of which start past its end
+        hi = min(lo + width, MAX_SIEVE_BOUND)
+        base = np.array(sorted({17, 19, 23, 29, *ps}), dtype=np.int64)
+        mask = sieve._strike(lo, hi, base)
+        assert len(mask) == 2 * (hi // 6 - lo // 6 + 1)
+        want = [lo <= w <= hi and math.gcd(w, 5 * 7 * 11 * 13) == 1
+                and all(w % p for p in base.tolist()) for w in wheel_numbers(lo, hi)]
+        assert mask.tolist() == want
+        assert sieve._read_out(lo, hi, mask).tolist() == [
+            w for w, keep in zip(wheel_numbers(lo, hi), want) if keep]
 
 
 class TestBoundedWorkers:
