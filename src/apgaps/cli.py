@@ -108,15 +108,10 @@ def _classes(q: int, rs: list[int]) -> list[ResidueClass]:
 
 def _trend_params(args: argparse.Namespace) -> trend.TrendParams:
     base = trend.default_params(args.q)
-    overrides = {k: getattr(args, k) for k in ("b1", "b2", "c0", "c1")
-                 if getattr(args, k) is not None}
+    overrides = {k: getattr(args, k) for k in ("c0", "c1") if getattr(args, k) is not None}
     if not overrides:
         return base
-    try:
-        return dataclasses.replace(base, source="user_supplied", extrapolated=False,
-                                   **overrides)
-    except ValueError as exc:  # b1 < 0 or b2 <= 0
-        raise UsageError(str(exc)) from exc
+    return dataclasses.replace(base, source="user_supplied", extrapolated=False, **overrides)
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -175,7 +170,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "maximal": sum(r.n_maximal for r in ordered),
         "output_dir": out,
     }
-    print(json.dumps(summary, indent=1))
+    _dump_json(summary, None)
     return EXIT_OK
 
 
@@ -278,23 +273,15 @@ def cmd_counts(args: argparse.Namespace) -> int:
             fh.write(f"{j},{fo:.10g},{mx:.10g}\n")
     summary = {"q": args.q, "j_max": args.j_max, "table": path}
     if args.fit_hyperbola:
-        summary["hyperbola"] = _fit_hyperbola(table)
-    print(json.dumps(summary, indent=1))
+        # mean maximal count per interval ~ 2 - kappa / (j + delta); reported, not asserted
+        try:
+            kappa, delta = evstats.fit_hyperbola([row[0] for row in table],
+                                                 [row[2] for row in table])
+            summary["hyperbola"] = {"kappa": kappa, "delta": delta}
+        except (ValueError, evstats.FitConvergenceError) as exc:
+            summary["hyperbola"] = {"error": str(exc)}
+    _dump_json(summary, None)
     return EXIT_OK
-
-
-def _fit_hyperbola(table) -> dict:
-    # mean maximal count per interval ~ 2 - kappa / (j + delta); reported, not asserted
-    from scipy.optimize import curve_fit
-
-    js = np.array([row[0] for row in table], dtype=float)
-    means = np.array([row[2] for row in table], dtype=float)
-    try:
-        popt, _ = curve_fit(lambda j, kappa, delta: 2.0 - kappa / (j + delta),
-                            js, means, p0=(3.0, 2.0), maxfev=10000)
-        return {"kappa": float(popt[0]), "delta": float(popt[1])}
-    except Exception as exc:  # noqa: BLE001 - diagnostic only
-        return {"error": str(exc)}
 
 
 def cmd_brun(args: argparse.Namespace) -> int:
@@ -392,7 +379,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 
 _SIEVING = ("--threads", "--budget")
-_TREND = ("--b1", "--b2", "--c0", "--c1")
+_TREND = ("--c0", "--c1")
 _SHARED = {
     "--r": dict(default="all", help="residues: 'all', a comma list, or a..b ranges"),
     "--out": dict(default=None, help="output directory"),

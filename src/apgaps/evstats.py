@@ -1,4 +1,5 @@
-"""Histograms, Gumbel and GEV maximum-likelihood fits, exact KS distances."""
+"""Histograms, Gumbel and GEV maximum-likelihood fits, exact KS distances,
+and the least-squares hyperbola of the record counts."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ _GUMBEL_MAX_ITER = 200
 _GUMBEL_REL_TOL = 1e-12
 # Simplex iterations of the GEV fit before it reports failure.
 _GEV_MAX_ITER = 2000
+# Simplex iterations of the hyperbola fit before it reports failure.
+_HYPERBOLA_MAX_ITER = 10000
 
 
 class FitConvergenceError(RuntimeError):
@@ -275,6 +278,38 @@ def fit_gev(samples: Sequence[float]) -> GevFit:
     shape = round(xi, 3)
     ks = ks_statistic(u, lambda x: gev_cdf(x, sigma, mu, shape))
     return GevFit(scale=sigma, location=mu, shape=shape, ks=ks)
+
+
+def fit_hyperbola(js: Sequence[float], means: Sequence[float]) -> tuple[float, float]:
+    """Least-squares fit of means ~ 2 - kappa / (j + delta); returns (kappa, delta).
+
+    The sum of squared residuals is minimized by ``_nelder_mead`` from
+    (kappa, delta) = (3, 2), with xatol = fatol = 1e-12; where some
+    j + delta <= 0 it is a large penalty, graded to guide the simplex back.
+    Raises ValueError below two points and FitConvergenceError when the
+    simplex does not settle or the optimum is not finite.
+    """
+    j = np.asarray(js, dtype=np.float64)
+    y = np.asarray(means, dtype=np.float64)
+    if j.size < 2:
+        raise ValueError(f"hyperbola fit needs at least 2 points, got {j.size}")
+
+    def sse(params: np.ndarray) -> float:
+        kappa, delta = params
+        d = j + delta
+        dmin = float(d.min())
+        if dmin <= 0.0:
+            return 1e30 * (1.0 + abs(dmin))
+        r = 2.0 - kappa / d - y
+        return float(r @ r)
+
+    best, converged = _nelder_mead(sse, np.array([3.0, 2.0]), _HYPERBOLA_MAX_ITER, 1e-12)
+    if not converged:
+        raise FitConvergenceError("hyperbola fit: maximum number of iterations exceeded")
+    kappa, delta = (float(v) for v in best)
+    if not (math.isfinite(kappa) and math.isfinite(delta)):
+        raise FitConvergenceError(f"hyperbola fit ended at kappa={kappa}, delta={delta}")
+    return kappa, delta
 
 
 def write_histogram_csv(hist: Histogram, path: str) -> None:

@@ -306,10 +306,14 @@ def write_events_csv(results: Sequence[ScanResult], path: str) -> None:
 
 
 def write_events_json(results: Sequence[ScanResult], path: str) -> None:
-    """JSON export mirroring the CSV fields at full float precision."""
+    """JSON export mirroring the CSV fields at full float precision.
+
+    A non-finite value raises ValueError before the file is opened.
+    """
     rows = []
     for res in results:
         rows.extend(event_rows(res))
+    text = json.dumps(rows, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
+        fh.write(text)
         fh.write("\n")

@@ -48,6 +48,9 @@ import numpy as np
 
 MAX_SIEVE_BOUND = (1 << 63) - 1
 DEFAULT_SEGMENT_LENGTH = 1 << 21
+# Mask entries per flatnonzero call of a readout from block 0: its index
+# temporary stays below 2 MiB.
+_READ_CHUNK = 1 << 18
 
 # The pre-sieve pattern: entry j tells whether the wheel number (3j + 1) | 1
 # has no factor among _PRESIEVED. One period is _BLOCKS 6-blocks of two
@@ -151,14 +154,29 @@ def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
-    """The primes of [lo, hi] from its struck wheel mask, with 2 and 3 added."""
-    out = np.flatnonzero(mask).astype(np.int64, copy=False)
-    out *= 3
-    out += lo - lo % 6 + 1
-    out |= 1
-    if lo <= 3:
-        out = np.concatenate((np.array([p for p in (2, 3) if lo <= p <= hi],
-                                       dtype=np.int64), out))
+    """The primes of [lo, hi] from its struck wheel mask, with 2 and 3 added.
+
+    When lo <= 3 the mask starts at block 0, and 2 and 3 go in front: the
+    array is sized by a count of the mask and filled _READ_CHUNK entries at
+    a time, so the primes are never held twice.
+    """
+    if lo > 3:
+        out = np.flatnonzero(mask).astype(np.int64, copy=False)
+        out *= 3
+        out += lo - lo % 6 + 1
+        out |= 1
+        return out
+    small = [p for p in (2, 3) if lo <= p <= hi]
+    k = len(small)
+    out = np.empty(k + np.count_nonzero(mask), dtype=np.int64)
+    out[:k] = small
+    for c in range(0, mask.size, _READ_CHUNK):
+        idx = np.flatnonzero(mask[c : c + _READ_CHUNK])
+        part = out[k : k + idx.size]
+        np.multiply(idx, 3, out=part)
+        part += 3 * c + 1
+        part |= 1
+        k += idx.size
     return out
 
 

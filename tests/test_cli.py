@@ -21,7 +21,7 @@ from apgaps.cli import (
     EXIT_OK,
     main,
 )
-from apgaps.gapscan import scan
+from apgaps.gapscan import interval_record_table, scan
 from apgaps.sieve import ResidueClass
 
 from _oracles import gumbel_samples
@@ -201,11 +201,42 @@ class TestCountsCommand:
         assert rc == EXIT_BUDGET
 
     def test_hyperbola_report(self, tmp_path, capsys):
-        rc = run("counts", "--q", "6", "--j-max", "10", "--fit-hyperbola",
+        # the in-package fit fits no worse than scipy's curve_fit, the reference
+        from scipy.optimize import curve_fit
+
+        def model(j, kappa, delta):
+            return 2.0 - kappa / (j + delta)
+
+        for q, j_max in ((2, 13), (6, 12), (30, 12)):
+            rc = run("counts", "--q", str(q), "--j-max", str(j_max), "--fit-hyperbola",
+                     "--out", str(tmp_path))
+            assert rc == EXIT_OK
+            fit = json.loads(capsys.readouterr().out)["hyperbola"]
+            table = interval_record_table(q, j_max)
+            js = np.array([row[0] for row in table], dtype=float)
+            means = np.array([row[2] for row in table], dtype=float)
+            ref, _ = curve_fit(model, js, means, p0=(3.0, 2.0), maxfev=10000)
+
+            def sse(kappa, delta):
+                r = model(js, kappa, delta) - means
+                return float(r @ r)
+
+            assert sse(fit["kappa"], fit["delta"]) <= sse(*ref) * (1 + 1e-12)
+            assert fit["kappa"] == pytest.approx(ref[0], rel=1e-3)
+            assert fit["delta"] == pytest.approx(ref[1], rel=1e-3)
+
+    def test_non_finite_hyperbola_exits_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evstats, "fit_hyperbola", lambda js, means: (math.nan, 2.0))
+        rc = run("counts", "--q", "6", "--j-max", "8", "--fit-hyperbola",
                  "--out", str(tmp_path))
-        assert rc == EXIT_OK
-        summary = json.loads(capsys.readouterr().out)
-        assert "kappa" in summary["hyperbola"]
+        captured = capsys.readouterr()
+        assert rc == EXIT_COMPUTE
+        assert captured.out == "" and "JSON" in captured.err
+
+    def test_too_few_points_for_the_hyperbola(self, tmp_path, capsys):
+        assert run("counts", "--q", "6", "--j-max", "1", "--fit-hyperbola",
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert "2 points" in json.loads(capsys.readouterr().out)["hyperbola"]["error"]
 
 
 class TestSmallCommands:
@@ -300,6 +331,7 @@ class TestSmallCommands:
          "points"),
         (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "-5"), "empirical-n"),
         (("meanprod", "--q", "3", "--r", "1", "--empirical-n", "0"), "empirical-n"),
+        # the removed trend options: argparse names them as unrecognized
         (("scan", "--q", "6", "--r", "1", "--x-max", "1000", "--b2", "0"), "b2"),
         (("fit", "--q", "6", "--window", "1e3:1e5", "--b1", "-1"), "b1"),
         (("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", "1"), "x-max"),
@@ -415,15 +447,45 @@ _IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
-@pytest.fixture(scope="module")
-def import_probe(tmp_path_factory):
-    """_IMPORT_PROBE's report from a fresh interpreter."""
+_NUMPY_ONLY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+    import apgaps.cli
+
+    out = sys.argv[1]
+    runs = [
+        ["scan", "--q", "6", "--r", "1", "--x-max", "1e5", "--out", out],
+        ["fit", "--q", "211", "--r", "all", "--window", "1e5:1e6", "--out", out],
+        ["counts", "--q", "6", "--j-max", "8", "--fit-hyperbola", "--out", out],
+        ["brun", "--d", "2", "--q", "2", "--r", "1", "--x-max", "1e5", "--out", out],
+        ["meanprod", "--q", "3", "--r", "1", "--empirical-n", "1000"],
+        ["predict", "--q", "6", "--d", "100"],
+        ["probe", "--q", "2", "--x", "1e6"],
+    ]
+    report = {}
+    for argv in runs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = apgaps.cli.main(argv)
+        report[argv[0]] = {"code": code, "out": json.loads(buf.getvalue() or "null")}
+    print(json.dumps(report))
+""")
+
+
+def _probe(script: str, out_dir: Path) -> dict:
+    """The JSON report that script prints from a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           str(tmp_path_factory.mktemp("probe"))],
+    proc = subprocess.run([sys.executable, "-c", script, str(out_dir)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """_IMPORT_PROBE's report from a fresh interpreter."""
+    return _probe(_IMPORT_PROBE, tmp_path_factory.mktemp("probe"))
 
 
 class TestImports:
@@ -433,6 +495,16 @@ class TestImports:
         assert import_probe["n_samples"] >= 50 and import_probe["gev_shape"] is not None
         assert [m for m in import_probe["after_import"] if m.startswith("scipy")] == []
         assert [m for m in import_probe["after_runs"] if m.startswith("scipy")] == []
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        report = _probe(_NUMPY_ONLY_PROBE, tmp_path)
+        assert sorted(report) == sorted(
+            ["scan", "fit", "counts", "brun", "meanprod", "predict", "probe"])
+        assert {cmd: got["code"] for cmd, got in report.items()} == dict.fromkeys(
+            report, EXIT_OK)
+        assert sorted(report["counts"]["out"]["hyperbola"]) == ["delta", "kappa"]
+        assert report["fit"]["out"]["gev_shape"] is not None
+        assert "empirical_mean" in report["meanprod"]["out"]
 
     def test_import_and_pipeline_runs_load_nothing_unused(self, import_probe):
         # nor numpy.polynomial, concurrent.futures, logging or fractions

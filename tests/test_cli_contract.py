@@ -4,16 +4,18 @@ cli_help.json holds the help of the top-level parser and of all seven
 subcommands at COLUMNS=80. EXITS pairs an argv with its exit code and with
 whether stdout stayed empty. Both were recorded from the code before the
 subcommands read argparse's namespace directly; the help texts were
-re-recorded when each subcommand kept only the options it reads. The rows that changed on
-purpose since then carry the old exit code in a comment: numeric options
-that used to fail inside the computation (exit 4) or be ignored are now
-rejected up front, and so are a missing samples file and a bound above the
-sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a j-max whose
-bound is past float range, exit 3 before). The unused --seed option is
-gone, and the help texts were re-recorded without it. fit sieves exactly to
-the top of its window, which the two --budget rows of the window 1e3:1e5
-pin. Each argv runs in its own directory, which holds u.csv,
-a sample of 20 rescaled values. To print the help texts of the current code:
+re-recorded when each subcommand kept only the options it reads. The rows
+that changed on purpose since then carry the old exit code in a comment:
+numeric options that used to fail inside the computation (exit 4) or be
+ignored are now rejected up front, and so are a missing samples file and a
+bound above the sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a
+j-max whose bound is past float range, exit 3 before). The unused --seed
+option is gone, and the help texts were re-recorded without it; they were
+re-recorded again when scan and fit lost the trend options --b1 and --b2.
+fit sieves exactly to the top of its window, which the two --budget rows of
+the window 1e3:1e5 pin. Each argv runs in its own directory, which holds
+u.csv, a sample of 20 rescaled values. To print the help texts of the
+current code:
 
     PYTHONPATH=src python tests/test_cli_contract.py
 """
@@ -150,8 +152,9 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points 0", 0, False),
     ("meanprod --q 3 --r 1 --empirical-n -5", 2, True),  # was 4
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
-    ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4
-    ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),
+    # --b1 and --b2, which changed no output, are gone: argparse rejects them
+    ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4, then 2 as a bad b2
+    ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),  # was 2 as a bad b1
     # options a subcommand does not read
     ("fit --q 2 --samples-csv u.csv --format json", 2, True),  # was 0
     ("counts --q 6 --j-max 3 --b1 1", 2, True),  # was 0

@@ -9,6 +9,7 @@ from apgaps.evstats import (
     build_histogram,
     fit_gev,
     fit_gumbel,
+    fit_hyperbola,
     gev_cdf,
     gumbel_cdf,
     gumbel_pdf,
@@ -205,6 +206,33 @@ class TestNelderMeadMatchesScipy:
         fit = fit_gev(u)
         assert (fit.scale, fit.location, fit.shape) == (
             float(res.x[0]), float(res.x[1]), round(float(res.x[2]), 3))
+
+
+class TestFitHyperbola:
+    """means ~ 2 - kappa / (j + delta) by least squares on the in-package simplex."""
+
+    @pytest.mark.parametrize("kappa,delta", [(5.0, 1.5), (8.2, 3.8), (1.0, -0.9)])
+    def test_recovers_exact_data(self, kappa, delta):
+        js = np.arange(1.0, 13.0)
+        got = fit_hyperbola(js, 2.0 - kappa / (js + delta))
+        assert got == pytest.approx((kappa, delta), rel=1e-5)
+
+    def test_stays_right_of_the_pole(self):
+        # exact data with delta = -1.2 put the pole between j = 1 and j = 2;
+        # the penalty keeps the simplex where every j + delta > 0
+        js = np.arange(1.0, 13.0)
+        kappa, delta = fit_hyperbola(js, 2.0 - 0.5 / (js - 1.2))
+        assert 1.0 + delta > 0.0
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            fit_hyperbola([1.0], [0.5])
+
+    def test_unsettled_simplex_raises(self, monkeypatch):
+        monkeypatch.setattr(evstats, "_HYPERBOLA_MAX_ITER", 5)
+        js = np.arange(1.0, 13.0)
+        with pytest.raises(FitConvergenceError, match="maximum number of iterations"):
+            fit_hyperbola(js, 2.0 - 5.0 / (js + 1.5))
 
 
 class TestKsStatistic:

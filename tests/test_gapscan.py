@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import threading
@@ -463,3 +464,10 @@ class TestExports:
         for item, ev in zip(data, res.events):
             assert item["size"] == ev.size
             assert item["csg"] == ev.csg  # full precision in JSON
+
+    def test_json_refuses_non_finite(self, res, tmp_path):
+        path = tmp_path / "events.json"
+        bad = dataclasses.replace(res, events=[res.events[0]._replace(csg=math.inf)])
+        with pytest.raises(ValueError, match="JSON"):
+            write_events_json([bad], str(path))
+        assert not path.exists()

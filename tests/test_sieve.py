@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -327,6 +328,36 @@ class TestPreSievedMask:
         assert mask.tolist() == want
         assert sieve._read_out(lo, hi, mask).tolist() == [
             w for w, keep in zip(wheel_numbers(lo, hi), want) if keep]
+
+
+class TestReadOutFromBlockZero:
+    """A readout with lo <= 3 puts 2 and 3 in front of the primes without copying them."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.integers(1, 3), width=st.one_of(st.integers(0, 40), st.integers(0, 20_000)),
+           chunk=st.integers(1, 7), seg_len=st.integers(2, 4_000),
+           threads=st.integers(1, 3), with_base=st.booleans())
+    def test_chunked_fill(self, lo, width, chunk, seg_len, threads, with_base):
+        hi = lo + width
+        want = trial_division(lo, hi)
+        with mock.patch.object(sieve, "_READ_CHUNK", chunk):
+            check_against_trial_division(lo, hi, with_base)
+            assert base_primes(hi).tolist() == trial_division(1, hi)
+            segs = segment_primes(lo, hi, seg_len, threads)
+        assert [p for seg in segs for p in seg.tolist()] == want
+
+    def test_peak_is_the_output(self):
+        x = 3 * 10**7
+        mask = sieve._strike(1, x)
+        tracemalloc.start()
+        try:
+            out = sieve._read_out(1, x, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == 1_857_859  # pi(3e7)
+        assert out[:4].tolist() == [2, 3, 5, 7] and out[-1] == 29_999_999
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 class TestBoundedWorkers:
