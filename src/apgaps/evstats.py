@@ -287,7 +287,7 @@ def fit_hyperbola(js: Sequence[float], means: Sequence[float]) -> tuple[float, f
     (kappa, delta) = (3, 2), with xatol = fatol = 1e-12; where some
     j + delta <= 0 it is a large penalty, graded to guide the simplex back.
     Raises ValueError below two points and FitConvergenceError when the
-    simplex does not settle or the optimum is not finite.
+    simplex does not settle.
     """
     j = np.asarray(js, dtype=np.float64)
     y = np.asarray(means, dtype=np.float64)
@@ -306,10 +306,7 @@ def fit_hyperbola(js: Sequence[float], means: Sequence[float]) -> tuple[float, f
     best, converged = _nelder_mead(sse, np.array([3.0, 2.0]), _HYPERBOLA_MAX_ITER, 1e-12)
     if not converged:
         raise FitConvergenceError("hyperbola fit: maximum number of iterations exceeded")
-    kappa, delta = (float(v) for v in best)
-    if not (math.isfinite(kappa) and math.isfinite(delta)):
-        raise FitConvergenceError(f"hyperbola fit ended at kappa={kappa}, delta={delta}")
-    return kappa, delta
+    return float(best[0]), float(best[1])
 
 
 def write_histogram_csv(hist: Histogram, path: str) -> None:

