@@ -1,4 +1,4 @@
-"""Byte pins: output files and stdout of a few fast CLI runs, by sha256.
+"""Byte pins: output files and stdout of 13 fast CLI runs, by sha256.
 
 The digests in golden_sha256.json were recorded from the code as it was
 before record detection moved to a table of seen gap sizes (the runs
@@ -6,7 +6,8 @@ scan-q8, scan-q7-r2 and brun-d4-q4 from the code before the class-pair
 stream yielded gaps in place of start primes, and brun-d3-q3 from the
 code before every pair was keyed by gap // q, and scan-q211-t2-1e7 and
 counts-q6 from the code before the threaded sieve split striking from
-readout), so any change to an
+readout, and scan-q6-json and meanprod-q30 from the code before every
+output file was written by cli.py), so any change to an
 artifact's bytes, however small, fails here. Each run goes into its
 own directory with a relative ``--out``, so the paths printed on stdout do
 not depend on where the tests run. To print the digests of the current code:
@@ -42,6 +43,8 @@ RUNS = {
     # five segments, so the threaded sieve hands readouts to its helper
     "scan-q211-t2-1e7": ["scan", "--q", "211", "--r", "all", "--x-max", "1e7", "--threads", "2"],
     "counts-q6": ["counts", "--q", "6", "--j-max", "12"],
+    "scan-q6-json": ["scan", "--q", "6", "--r", "all", "--x-max", "1e6", "--format", "json"],
+    "meanprod-q30": ["meanprod", "--q", "30", "--r", "3", "--empirical-n", "1000"],
 }
 
 
