@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -56,13 +56,24 @@ def _parse_x(text: str) -> int:
     return int(val)
 
 
-def _parse_probe_x(text: str) -> float:
-    """A probe point: finite and above 2, where the baseline trend lives."""
+def _parse_finite(text: str) -> float:
+    """A finite float; nan and inf are bad input."""
     try:
         val = float(text)
     except ValueError as exc:
         raise UsageError(f"bad number {text!r}") from exc
-    if not (math.isfinite(val) and val > 2):
+    if not math.isfinite(val):
+        raise UsageError(f"need a finite number, got {text!r}")
+    return val
+
+
+def _parse_probe_x(text: str) -> float:
+    """A probe point: finite and above 2, where the baseline trend lives."""
+    try:
+        val = _parse_finite(text)
+    except UsageError:
+        val = math.nan  # refused below, with the probe's own message
+    if not val > 2:
         raise UsageError(f"probe needs finite x > 2, got {text!r}")
     return val
 
@@ -120,13 +131,43 @@ def _outdir(args: argparse.Namespace) -> str:
     return out
 
 
-def _dump_json(payload: dict, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=1, allow_nan=False)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    print(text)
+# ---------------------------------------------------------------------------
+# Output: every artifact goes through _write_csv or _write_json.
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=1, allow_nan=False)
+
+
+def _write_json(path: str, payload) -> str:
+    """Write payload to path and return its text. A value JSON cannot hold raises
+    ValueError before the file is opened, so it leaves no partial file."""
+    text = _json(payload)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+    return text
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row: a float with 10 significant digits, any other value by str()."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".10g") if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+_EVENT_COLUMNS = ("q", "r", "kind", "n", "start_prime", "end_prime", "size", "csg")
+
+
+def _event_rows(results: Sequence[gapscan.ScanResult]) -> Iterator[tuple]:
+    """One row per event; n is the maximal index of a maximal event, else the fo index."""
+    for res in results:
+        q, r = res.cls.q, res.cls.r
+        for ev in res.events:
+            kind, n = (("maximal", ev.maximal_index) if ev.is_maximal
+                       else ("first_occurrence", ev.fo_index))
+            yield q, r, kind, n, ev.start_prime, ev.end_prime, ev.size, ev.csg
 
 
 def _check_budget(args: argparse.Namespace, bound: int) -> None:
@@ -149,19 +190,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _check_budget(args, x_max)
     results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
     out = _outdir(args)
-    ext = args.format
-    write = gapscan.write_events_csv if ext == "csv" else gapscan.write_events_json
     ordered = [results[c.r] for c in classes]
-    for res in ordered:
-        write([res], os.path.join(out, f"events_q{args.q}_r{res.cls.r}.{ext}"))
-    write(ordered, os.path.join(out, f"events_q{args.q}_merged.{ext}"))
+    for name, group in [(f"r{res.cls.r}", [res]) for res in ordered] + [("merged", ordered)]:
+        path = os.path.join(out, f"events_q{args.q}_{name}.{args.format}")
+        if args.format == "csv":
+            _write_csv(path, _EVENT_COLUMNS, _event_rows(group))
+        else:
+            _write_json(path, [dict(zip(_EVENT_COLUMNS, row)) for row in _event_rows(group)])
     # T0, T_f and phi log^2 p at the event end primes where the trends are defined
     phi = trend.totient(args.q)
     ends = sorted({ev.end_prime for res in ordered for ev in res.events})
-    with open(os.path.join(out, f"trend_q{args.q}.csv"), "w", newline="") as fh:
-        fh.write("p,t0,tf,phi_log2\n")
-        for p, t0, tf in trend.trend_points(args.q, ends, params):
-            fh.write(f"{p},{t0:.10g},{tf:.10g},{phi * math.log(p) ** 2:.10g}\n")
+    _write_csv(os.path.join(out, f"trend_q{args.q}.csv"), ("p", "t0", "tf", "phi_log2"),
+               ((p, t0, tf, phi * math.log(p) ** 2)
+                for p, t0, tf in trend.trend_points(args.q, ends, params)))
     summary = {
         "q": args.q,
         "x_max": x_max,
@@ -170,7 +211,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "maximal": sum(r.n_maximal for r in ordered),
         "output_dir": out,
     }
-    _dump_json(summary, None)
+    print(_json(summary))
     return EXIT_OK
 
 
@@ -248,11 +289,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }
     out = _outdir(args)
     hist = evstats.build_histogram(u, args.bins)
-    evstats.write_histogram_csv(hist, os.path.join(out, f"hist_q{args.q}.csv"))
-    grid = np.linspace(hist.bin_edges[0], hist.bin_edges[-1], 513)
-    evstats.write_pdf_csv(os.path.join(out, f"pdf_q{args.q}.csv"), grid,
-                          lambda x: evstats.gumbel_pdf(x, gfit.scale, gfit.mode))
-    _dump_json(report, os.path.join(out, f"fit_q{args.q}.json"))
+    edges = hist.bin_edges
+    density = hist.counts / (hist.total * np.diff(edges))
+    _write_csv(os.path.join(out, f"hist_q{args.q}.csv"), ("bin_lo", "bin_hi", "count", "density"),
+               zip(edges[:-1], edges[1:], hist.counts.tolist(), density))
+    # one grid point at a time, as before: numpy's array exp need not match its scalar bits
+    grid = np.linspace(edges[0], edges[-1], 513)
+    _write_csv(os.path.join(out, f"pdf_q{args.q}.csv"), ("x", "pdf"),
+               ((x, evstats.gumbel_pdf(x, gfit.scale, gfit.mode)) for x in grid))
+    print(_write_json(os.path.join(out, f"fit_q{args.q}.json"), report))
     return EXIT_OK
 
 
@@ -267,10 +312,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     table = gapscan.interval_record_table(args.q, args.j_max, threads=args.threads)
     out = _outdir(args)
     path = os.path.join(out, f"counts_q{args.q}.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("j,mean_fo_count,mean_max_count\n")
-        for j, fo, mx in table:
-            fh.write(f"{j},{fo:.10g},{mx:.10g}\n")
+    _write_csv(path, ("j", "mean_fo_count", "mean_max_count"), table)
     summary = {"q": args.q, "j_max": args.j_max, "table": path}
     if args.fit_hyperbola:
         # mean maximal count per interval ~ 2 - kappa / (j + delta); reported, not asserted
@@ -280,7 +322,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
             summary["hyperbola"] = {"kappa": kappa, "delta": delta}
         except (ValueError, evstats.FitConvergenceError) as exc:
             summary["hyperbola"] = {"error": str(exc)}
-    _dump_json(summary, None)
+    print(_json(summary))
     return EXIT_OK
 
 
@@ -298,11 +340,7 @@ def cmd_brun(args: argparse.Namespace) -> int:
     if args.points < 0:
         raise UsageError("points must be >= 0")
     q, r, d = args.q, rs[0], args.d
-    if not 1 <= r < q:
-        raise UsageError("brun needs 1 <= r < q")
-    # coprimality is not required here: a non-coprime class just has an
-    # (almost) empty progression and a trivial partial sum
-    cls = ResidueClass(q, r) if math.gcd(q, r) == 1 else ResidueClass.unchecked(q, r)
+    (cls,) = _classes(q, rs)
     _check_budget(args, x_max)
     lo = min(max(100, d + 1), x_max)
     # float rounding can carry a point above 2^53 past x_max: clamp it back
@@ -311,13 +349,10 @@ def cmd_brun(args: argparse.Namespace) -> int:
     growth = brun.brun_growth(d, cls, xs, threads=args.threads)
     out = _outdir(args)
     path = os.path.join(out, f"brun_d{d}_q{q}_r{r}.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("x,partial_sum,estimate\n")
-        for bs in growth:
-            est = brun.brun_estimate(d, q, bs.x)
-            fh.write(f"{bs.x},{bs.partial_sum:.10g},{est:.10g}\n")
+    _write_csv(path, ("x", "partial_sum", "estimate"),
+               ((bs.x, bs.partial_sum, brun.brun_estimate(d, q, bs.x)) for bs in growth))
     final = growth[-1]
-    _dump_json({
+    print(_json({
         "d": d,
         "q": q,
         "r": r,
@@ -327,7 +362,7 @@ def cmd_brun(args: argparse.Namespace) -> int:
         "estimate_at_x_max": brun.brun_estimate(d, q, x_max),
         "estimate_limit": brun.brun_estimate(d, q),
         "curve": path,
-    }, None)
+    }))
     return EXIT_OK
 
 
@@ -349,8 +384,8 @@ def cmd_meanprod(args: argparse.Namespace) -> int:
         payload["empirical_mean"] = emp
         payload["empirical_n"] = n_emp
         payload["rel_diff"] = abs(emp - sm.value) / sm.value
-    _dump_json(payload, os.path.join(_outdir(args), f"meanprod_q{q}_r{r}.json")
-               if args.out else None)
+    print(_write_json(os.path.join(_outdir(args), f"meanprod_q{q}_r{r}.json"), payload)
+          if args.out else _json(payload))
     return EXIT_OK
 
 
@@ -361,7 +396,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lo, hi = trend.first_occurrence_bounds(args.d, args.q)
     # past float range the predictor is inf, which JSON cannot hold
     p, lo, hi = (None if math.isinf(v) else v for v in (p, lo, hi))
-    _dump_json({"q": args.q, "d": args.d, "location": p, "lower": lo, "upper": hi}, None)
+    print(_json({"q": args.q, "d": args.d, "location": p, "lower": lo, "upper": hi}))
     return EXIT_OK
 
 
@@ -370,7 +405,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     if not xs:
         raise UsageError("probe needs at least one x")
     ratios = trend.inverse_limit_probe(args.q, xs)
-    _dump_json({"q": args.q, "x": xs, "ratio": ratios, "limit": math.exp(-0.5)}, None)
+    print(_json({"q": args.q, "x": xs, "ratio": ratios, "limit": math.exp(-0.5)}))
     return EXIT_OK
 
 
@@ -387,7 +422,7 @@ _SHARED = {
     "--threads": dict(type=int, default=1),  # below 1 the sieve runs serially
     "--budget": dict(type=_parse_x, default=DEFAULT_BUDGET,
                      help="max numbers sieved per run (default 1e10)"),
-    **{opt: dict(type=float, default=None) for opt in _TREND},
+    **{opt: dict(type=_parse_finite, default=None) for opt in _TREND},
 }
 
 

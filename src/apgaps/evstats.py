@@ -3,7 +3,6 @@ and the least-squares hyperbola of the record counts."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -308,24 +307,3 @@ def fit_hyperbola(js: Sequence[float], means: Sequence[float]) -> tuple[float, f
         raise FitConvergenceError("hyperbola fit: maximum number of iterations exceeded")
     return float(best[0]), float(best[1])
 
-
-def write_histogram_csv(hist: Histogram, path: str) -> None:
-    """Columns bin_lo, bin_hi, count, density (10 significant digits)."""
-    widths = np.diff(hist.bin_edges)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "count", "density"])
-        for lo, hi, c, w in zip(hist.bin_edges[:-1], hist.bin_edges[1:],
-                                hist.counts, widths):
-            density = c / (hist.total * w) if hist.total else 0.0
-            writer.writerow([format(lo, ".10g"), format(hi, ".10g"),
-                             int(c), format(density, ".10g")])
-
-
-def write_pdf_csv(path: str, xs: Sequence[float], pdf: Callable[[float], float]) -> None:
-    """Columns x, pdf on a caller-chosen grid (fitted-density overlay)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "pdf"])
-        for x in xs:
-            writer.writerow([format(x, ".10g"), format(pdf(x), ".10g")])

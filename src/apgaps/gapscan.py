@@ -21,8 +21,6 @@ loop.
 from __future__ import annotations
 
 import bisect
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -266,54 +264,3 @@ def check_record_bounds(result: ScanResult) -> list[tuple[str, int, int]]:
             bad.append(("first_occurrence", n, ev.size))
     return bad
 
-
-# ---------------------------------------------------------------------------
-# Export. One row per event: maximal events report their maximal index,
-# plain first occurrences their fo index.
-
-CSV_COLUMNS = ["q", "r", "kind", "n", "start_prime", "end_prime", "size", "csg"]
-
-
-def event_rows(result: ScanResult) -> list[dict]:
-    rows = []
-    for ev in result.events:
-        kind = "maximal" if ev.is_maximal else "first_occurrence"
-        rows.append(
-            {
-                "q": result.cls.q,
-                "r": result.cls.r,
-                "kind": kind,
-                "n": ev.maximal_index if ev.is_maximal else ev.fo_index,
-                "start_prime": ev.start_prime,
-                "end_prime": ev.end_prime,
-                "size": ev.size,
-                "csg": ev.csg,
-            }
-        )
-    return rows
-
-
-def write_events_csv(results: Sequence[ScanResult], path: str) -> None:
-    """CSV export; csg carries 10 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for res in results:
-            for row in event_rows(res):
-                writer.writerow(
-                    [row[c] for c in CSV_COLUMNS[:-1]] + [format(row["csg"], ".10g")]
-                )
-
-
-def write_events_json(results: Sequence[ScanResult], path: str) -> None:
-    """JSON export mirroring the CSV fields at full float precision.
-
-    A non-finite value raises ValueError before the file is opened.
-    """
-    rows = []
-    for res in results:
-        rows.extend(event_rows(res))
-    text = json.dumps(rows, indent=1, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")

@@ -82,14 +82,6 @@ class ResidueClass:
         if math.gcd(self.q, self.r) != 1:
             raise ValueError(f"gcd({self.q}, {self.r}) != 1: class holds at most one prime")
 
-    @classmethod
-    def unchecked(cls, q: int, r: int) -> "ResidueClass":
-        """Bypass validation (progressions of gap sizes may have r = 0 or gcd > 1)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "q", q)
-        object.__setattr__(obj, "r", r)
-        return obj
-
     def __str__(self) -> str:  # compact form for messages and file names
         return f"{self.r} mod {self.q}"
 

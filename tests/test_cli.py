@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import apgaps
-from apgaps import brun, evstats, trend
+from apgaps import brun, evstats, gapscan, trend
 from apgaps.brun import brun_partial_sum
 from apgaps.cli import (
     EXIT_BAD_INPUT,
@@ -86,6 +87,51 @@ class TestScanCommand:
         rows = list(csv.DictReader((tmp_path / "events_q2_r1.csv").open()))
         for row, ev in zip(rows, res.events):
             assert float(row["csg"]) == pytest.approx(ev.csg, rel=1e-9)
+
+
+class TestExports:
+    """The events files of scan against the library's events, field by field."""
+
+    @pytest.fixture()
+    def res(self):
+        return scan(ResidueClass(6, 5), 10**4)
+
+    def test_csv_round_trip(self, res, tmp_path):
+        assert run("scan", "--q", "6", "--r", "5", "--x-max", "1e4",
+                   "--out", str(tmp_path)) == EXIT_OK
+        with open(tmp_path / "events_q6_r5.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(res.events)
+        by_size = {e.size: e for e in res.events}
+        for row in rows:
+            ev = by_size[int(row["size"])]
+            assert int(row["q"]) == 6 and int(row["r"]) == 5
+            assert int(row["start_prime"]) == ev.start_prime
+            assert int(row["end_prime"]) == ev.end_prime
+            expected_kind = "maximal" if ev.is_maximal else "first_occurrence"
+            assert row["kind"] == expected_kind
+            n = ev.maximal_index if ev.is_maximal else ev.fo_index
+            assert int(row["n"]) == n
+            assert float(row["csg"]) == pytest.approx(ev.csg, rel=1e-9)
+
+    def test_json_round_trip(self, res, tmp_path):
+        assert run("scan", "--q", "6", "--r", "5", "--x-max", "1e4", "--format", "json",
+                   "--out", str(tmp_path)) == EXIT_OK
+        data = json.loads((tmp_path / "events_q6_r5.json").read_text())
+        assert len(data) == len(res.events)
+        for item, ev in zip(data, res.events):
+            assert item["size"] == ev.size
+            assert item["csg"] == ev.csg  # full precision in JSON
+
+    def test_json_refuses_non_finite(self, res, tmp_path, monkeypatch, capsys):
+        bad = dataclasses.replace(res, events=[res.events[0]._replace(csg=math.inf)])
+        monkeypatch.setattr(gapscan, "scan_many", lambda *args, **kwargs: {5: bad})
+        rc = run("scan", "--q", "6", "--r", "5", "--x-max", "1e4", "--format", "json",
+                 "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == EXIT_COMPUTE
+        assert captured.out == "" and "JSON" in captured.err
+        assert not list(tmp_path.glob("events_*"))
 
 
 class TestFitCommand:
@@ -335,6 +381,10 @@ class TestSmallCommands:
         (("scan", "--q", "6", "--r", "1", "--x-max", "1000", "--b2", "0"), "b2"),
         (("fit", "--q", "6", "--window", "1e3:1e5", "--b1", "-1"), "b1"),
         (("brun", "--q", "2", "--r", "1", "--d", "2", "--x-max", "1"), "x-max"),
+        (("brun", "--q", "6", "--r", "3", "--d", "6", "--x-max", "1000"), "gcd(6, 3)"),
+        (("scan", "--q", "6", "--r", "1", "--x-max", "1000", "--c0", "nan"), "--c0"),
+        (("fit", "--q", "6", "--window", "1e3:1e6", "--c1", "inf"), "--c1"),
+        (("fit", "--q", "6", "--window", "1e3:1e6", "--c0", "-inf"), "--c0"),
     ])
     def test_bad_numeric_option_exit_2(self, argv, option, tmp_path, capsys):
         assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_BAD_INPUT
@@ -419,7 +469,8 @@ _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
 
     # modules that none of scan, fit and brun use
-    UNUSED = ("scipy", "numpy.polynomial", "concurrent.futures", "logging", "fractions")
+    UNUSED = ("scipy", "numpy.polynomial", "concurrent.futures", "logging", "fractions",
+              "csv")
 
     def unused_modules():
         return sorted(m for m in sys.modules

@@ -9,7 +9,8 @@ that changed on purpose since then carry the old exit code in a comment:
 numeric options that used to fail inside the computation (exit 4) or be
 ignored are now rejected up front, and so are a missing samples file and a
 bound above the sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a
-j-max whose bound is past float range, exit 3 before). The unused --seed
+j-max whose bound is past float range, exit 3 before), a non-finite --c0 or
+--c1, and a brun class with gcd(q, r) > 1. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -74,7 +75,7 @@ EXITS = [
     ("brun --q 6 --r 0 --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r 6 --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r x --d 6 --x-max 100", 2, True),
-    ("brun --q 6 --r 3 --d 6 --x-max 1000", 0, False),
+    ("brun --q 6 --r 3 --d 6 --x-max 1000", 2, True),  # was 0
     ("meanprod --q 10 --r 10", 2, True),
     ("meanprod --q 10 --r -1", 2, True),
     ("meanprod --q 10 --r x", 2, True),
@@ -155,6 +156,9 @@ EXITS = [
     # --b1 and --b2, which changed no output, are gone: argparse rejects them
     ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4, then 2 as a bad b2
     ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),  # was 2 as a bad b1
+    # trend constants must be finite
+    ("scan --q 6 --r 1 --x-max 1000 --c0 nan", 2, True),  # was 0, nan in every tf cell
+    ("fit --q 6 --window 1e3:1e6 --c1 inf", 2, True),  # was 4 after the scan
     # options a subcommand does not read
     ("fit --q 2 --samples-csv u.csv --format json", 2, True),  # was 0
     ("counts --q 6 --j-max 3 --b1 1", 2, True),  # was 0

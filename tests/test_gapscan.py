@@ -1,6 +1,3 @@
-import csv
-import dataclasses
-import json
 import math
 import threading
 from collections import Counter, defaultdict
@@ -21,8 +18,6 @@ from apgaps.gapscan import (
     scan,
     scan_many,
     tau,
-    write_events_csv,
-    write_events_json,
 )
 from apgaps.numutil import lcm2, totient
 from apgaps.sieve import ResidueClass
@@ -432,42 +427,3 @@ class TestRecordBounds:
         bad = check_record_bounds(fake)
         assert len(bad) == 1 and bad[0][0] == "maximal"
 
-
-class TestExports:
-    @pytest.fixture()
-    def res(self):
-        return scan(ResidueClass(6, 5), 10**4)
-
-    def test_csv_round_trip(self, res, tmp_path):
-        path = tmp_path / "events.csv"
-        write_events_csv([res], str(path))
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(res.events)
-        by_size = {e.size: e for e in res.events}
-        for row in rows:
-            ev = by_size[int(row["size"])]
-            assert int(row["q"]) == 6 and int(row["r"]) == 5
-            assert int(row["start_prime"]) == ev.start_prime
-            assert int(row["end_prime"]) == ev.end_prime
-            expected_kind = "maximal" if ev.is_maximal else "first_occurrence"
-            assert row["kind"] == expected_kind
-            n = ev.maximal_index if ev.is_maximal else ev.fo_index
-            assert int(row["n"]) == n
-            assert float(row["csg"]) == pytest.approx(ev.csg, rel=1e-9)
-
-    def test_json_round_trip(self, res, tmp_path):
-        path = tmp_path / "events.json"
-        write_events_json([res], str(path))
-        data = json.loads(path.read_text())
-        assert len(data) == len(res.events)
-        for item, ev in zip(data, res.events):
-            assert item["size"] == ev.size
-            assert item["csg"] == ev.csg  # full precision in JSON
-
-    def test_json_refuses_non_finite(self, res, tmp_path):
-        path = tmp_path / "events.json"
-        bad = dataclasses.replace(res, events=[res.events[0]._replace(csg=math.inf)])
-        with pytest.raises(ValueError, match="JSON"):
-            write_events_json([bad], str(path))
-        assert not path.exists()

@@ -51,10 +51,6 @@ class TestResidueClass:
         with pytest.raises(ValueError):
             ResidueClass(6, 7)
 
-    def test_unchecked_relaxes(self):
-        cls = ResidueClass.unchecked(4, 2)
-        assert (cls.q, cls.r) == (4, 2)
-
 
 class TestPrimesInClass:
     def test_class_6_5(self):
