@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -139,13 +139,15 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=1, allow_nan=False)
 
 
-def _write_json(path: str, payload) -> str:
-    """Write payload to path and return its text. A value JSON cannot hold raises
-    ValueError before the file is opened, so it leaves no partial file."""
-    text = _json(payload)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+def _write_json(files: Mapping[str, object]) -> list[str]:
+    """Write each payload to its path and return their texts. Every payload is
+    encoded before any file is opened, so a value JSON cannot hold raises
+    ValueError and leaves no file of the set, whole or partial."""
+    texts = [_json(payload) for payload in files.values()]
+    for path, text in zip(files, texts):
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    return texts
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -191,12 +193,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
     out = _outdir(args)
     ordered = [results[c.r] for c in classes]
-    for name, group in [(f"r{res.cls.r}", [res]) for res in ordered] + [("merged", ordered)]:
-        path = os.path.join(out, f"events_q{args.q}_{name}.{args.format}")
-        if args.format == "csv":
+    groups = {os.path.join(out, f"events_q{args.q}_{name}.{args.format}"): group
+              for name, group in [(f"r{res.cls.r}", [res]) for res in ordered]
+              + [("merged", ordered)]}
+    if args.format == "csv":
+        for path, group in groups.items():
             _write_csv(path, _EVENT_COLUMNS, _event_rows(group))
-        else:
-            _write_json(path, [dict(zip(_EVENT_COLUMNS, row)) for row in _event_rows(group)])
+    else:
+        _write_json({path: [dict(zip(_EVENT_COLUMNS, row)) for row in _event_rows(group)]
+                     for path, group in groups.items()})
     # T0, T_f and phi log^2 p at the event end primes where the trends are defined
     phi = trend.totient(args.q)
     ends = sorted({ev.end_prime for res in ordered for ev in res.events})
@@ -297,7 +302,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     grid = np.linspace(edges[0], edges[-1], 513)
     _write_csv(os.path.join(out, f"pdf_q{args.q}.csv"), ("x", "pdf"),
                ((x, evstats.gumbel_pdf(x, gfit.scale, gfit.mode)) for x in grid))
-    print(_write_json(os.path.join(out, f"fit_q{args.q}.json"), report))
+    print(_write_json({os.path.join(out, f"fit_q{args.q}.json"): report})[0])
     return EXIT_OK
 
 
@@ -384,7 +389,7 @@ def cmd_meanprod(args: argparse.Namespace) -> int:
         payload["empirical_mean"] = emp
         payload["empirical_n"] = n_emp
         payload["rel_diff"] = abs(emp - sm.value) / sm.value
-    print(_write_json(os.path.join(_outdir(args), f"meanprod_q{q}_r{r}.json"), payload)
+    print(_write_json({os.path.join(_outdir(args), f"meanprod_q{q}_r{r}.json"): payload})[0]
           if args.out else _json(payload))
     return EXIT_OK
 

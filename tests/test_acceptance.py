@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import apgaps
 from apgaps import brun, evstats, gapscan, trend
@@ -117,6 +118,7 @@ def test_criterion_05_inverse_trend_limit():
            "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_06_gumbel_pipeline_desk_scale(threads):
     t0 = time.perf_counter()
     results = apgaps.scan_many(211, list(range(1, 211)), 10**9, threads=threads)
@@ -236,6 +238,7 @@ def test_criterion_12_counting_growth(threads):
                f"{max(max_means):.3f}, last-5 slope={slope:+.4f}, {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_13_determinism(tmp_path):
     t0 = time.perf_counter()
     identical = True

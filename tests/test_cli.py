@@ -133,6 +133,18 @@ class TestExports:
         assert captured.out == "" and "JSON" in captured.err
         assert not list(tmp_path.glob("events_*"))
 
+    def test_json_refusal_in_one_class_writes_no_class(self, res, tmp_path, monkeypatch,
+                                                         capsys):
+        good = scan(ResidueClass(6, 1), 10**4)
+        bad = dataclasses.replace(res, events=[res.events[0]._replace(csg=math.inf)])
+        monkeypatch.setattr(gapscan, "scan_many", lambda *args, **kwargs: {1: good, 5: bad})
+        rc = run("scan", "--q", "6", "--r", "all", "--x-max", "1e4", "--format", "json",
+                 "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert rc == EXIT_COMPUTE
+        assert captured.out == "" and "JSON" in captured.err
+        assert not list(tmp_path.glob("events_*"))
+
 
 class TestFitCommand:
     def test_synthetic_injection(self, tmp_path, capsys):

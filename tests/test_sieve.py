@@ -307,6 +307,12 @@ class TestPreSievedMask:
         assert sieve._PATTERN.dtype == bool
         assert np.array_equal(sieve._PATTERN, np.gcd(wheel, 5 * 7 * 11 * 13) == 1)
 
+    def test_strike_value_is_a_read_only_false(self):
+        assert sieve._FALSE.shape == () and sieve._FALSE.dtype == bool
+        assert not sieve._FALSE
+        with pytest.raises(ValueError, match="read-only"):
+            sieve._FALSE[()] = True
+
     @settings(max_examples=60, deadline=None)
     @given(lo=st.integers(0, 10**4).map(lambda k: MAX_SIEVE_BOUND - k),
            width=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 300)),
