@@ -34,6 +34,7 @@ EXIT_BUDGET = 3
 EXIT_COMPUTE = 4
 
 DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
+MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun curve
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -253,8 +254,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     window_lo, window_hi = _parse_x(lo), _parse_x(hi)
     if window_lo > window_hi:
         raise UsageError("window lower bound exceeds upper bound")
-    if args.bins < 1:
-        raise UsageError("bins must be >= 1")
+    if not 1 <= args.bins <= MAX_ROWS:
+        raise UsageError(f"bins must be at least 1 and at most {MAX_ROWS}")
     params = _trend_params(args)
     if args.samples_csv:
         u = _load_samples_csv(args.samples_csv)
@@ -342,8 +343,8 @@ def cmd_brun(args: argparse.Namespace) -> int:
         raise UsageError("d must be positive")
     if len(rs) != 1:
         raise UsageError("brun wants exactly one residue")
-    if args.points < 0:
-        raise UsageError("points must be >= 0")
+    if not 0 <= args.points <= MAX_ROWS:
+        raise UsageError(f"points must be at least 0 and at most {MAX_ROWS}")
     q, r, d = args.q, rs[0], args.d
     (cls,) = _classes(q, rs)
     _check_budget(args, x_max)

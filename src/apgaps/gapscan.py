@@ -16,6 +16,12 @@ The table's width, a power of two, doubles whenever a wider gap appears, so
 it stays small: for q = 211 up to 1e9 the widest gap, 66,254, is column 314
 of 512. Only the few pairs still unseen in the table reach the Python event
 loop.
+
+A single class, as in ``scan --r r`` and every Brun sum, takes its own
+path through the pair stream: no residue array, no sort and no per-class
+arrays, only the class's last prime carried as a scalar. Its class test
+uses no division (``_class_test``), and for q = 2 there is none: the class
+is every prime but 2.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,34 +79,85 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *,
     are built; a consumer that needs the start primes takes ends - gaps on
     the pairs it keeps.
     """
+    batches = (seg[i : i + _BATCH]
+               for seg in sieve.iter_prime_segments(1, hi, threads=threads)
+               for i in range(0, seg.size, _BATCH))
+    if len(rs) == 1:
+        return _one_class_pairs(q, rs[0], batches)
+    return _many_class_pairs(q, rs, batches)
+
+
+def _one_class_pairs(q: int, r: int, batches: Iterable[np.ndarray]
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_class_pairs of the one class r mod q, with its last prime carried as a scalar."""
+    in_class = _class_test(q, r)
+    last = 0  # the class's latest prime, 0 before its first
+    for primes in batches:
+        if q == 2:  # the class is every prime but 2
+            ends = primes[1:] if primes[0] == 2 else primes
+        else:  # compress is several times faster than indexing by a mask
+            ends = primes.compress(in_class(primes))
+        if not last and ends.size:  # the class's first prime starts no pair
+            last, ends = int(ends[0]), ends[1:]
+        if not ends.size:
+            continue
+        gaps = np.empty_like(ends)
+        gaps[0] = ends[0] - last
+        np.subtract(ends[1:], ends[:-1], out=gaps[1:])
+        last = int(ends[-1])
+        yield np.array([ends.size]), gaps, ends
+
+
+def _class_test(q: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The mask p % q == r of an int64 array of p >= 0, with no division.
+
+    With q = 2^s * m and m odd, p is in the class when its low s bits are
+    those of r and m divides t = p + (-r mod m), which stays below 2^64. On
+    uint64, m divides t exactly when t * m^-1 (mod 2^64) <= (2^64 - 1) // m:
+    multiplying by m^-1 maps the multiples of m onto 0..(2^64 - 1) // m and
+    every other t above them (Granlund & Montgomery, PLDI 1994).
+    """
+    s = (q & -q).bit_length() - 1
+    m = q >> s
+    low, r_low = np.uint64((1 << s) - 1), np.uint64(r & ((1 << s) - 1))
+    offset = np.uint64(-r % m)
+    inverse = np.uint64(pow(m, -1, 1 << 64))
+    top = np.uint64(((1 << 64) - 1) // m)
+
+    def in_class(p: np.ndarray) -> np.ndarray:
+        u = p.view(np.uint64)
+        t = u + offset
+        t *= inverse
+        hit = t <= top
+        if s:
+            hit &= (u & low) == r_low
+        return hit
+
+    return in_class
+
+
+def _many_class_pairs(q: int, rs: Sequence[int], batches: Iterable[np.ndarray]
+                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """_class_pairs of two or more classes: one stable sort by residue per batch."""
     k = len(rs)
     # residues < q fit a narrow type, which numpy's stable sort radix-sorts
     key_type = np.min_scalar_type(q - 1)
     rs_arr = np.array(rs, dtype=key_type)
     last = np.zeros(k, dtype=np.int64)  # each class's latest prime, 0 before its first
-    segments = sieve.iter_prime_segments(1, hi, threads=threads)
-    for primes in (seg[i : i + _BATCH] for seg in segments
-                   for i in range(0, seg.size, _BATCH)):
+    for primes in batches:
         # p & (q - 1) and p - p // q * q are p % q for p >= 0 at a fraction of
-        # numpy's cost, and compress is several times faster than boolean
-        # indexing on a half-true mask
-        residues = primes & (q - 1) if q & (q - 1) == 0 else primes - primes // q * q
-        if k == 1:
-            hit = residues == rs[0]
-            n = int(np.count_nonzero(hit))
-            ends = primes if n == primes.size else primes.compress(hit)
-            counts = np.array([n])
-        else:
-            residues = residues.astype(key_type)
-            order = np.argsort(residues, kind="stable")  # keeps each class ascending
-            sorted_res = residues[order]
-            los = np.searchsorted(sorted_res, rs_arr, side="left")
-            counts = np.searchsorted(sorted_res, rs_arr, side="right") - los
-            n = int(counts.sum())
-            if n < primes.size:  # drop the primes of classes not asked for
-                order = order[np.arange(n) + np.repeat(los - (np.cumsum(counts) - counts),
-                                                       counts)]
-            ends = primes[order]
+        # numpy's cost
+        residues = (primes & (q - 1) if q & (q - 1) == 0
+                    else primes - primes // q * q).astype(key_type)
+        order = np.argsort(residues, kind="stable")  # keeps each class ascending
+        sorted_res = residues[order]
+        los = np.searchsorted(sorted_res, rs_arr, side="left")
+        counts = np.searchsorted(sorted_res, rs_arr, side="right") - los
+        n = int(counts.sum())
+        if n < primes.size:  # drop the primes of classes not asked for
+            order = order[np.arange(n) + np.repeat(los - (np.cumsum(counts) - counts),
+                                                   counts)]
+        ends = primes[order]
         if not n:
             continue
         has = np.flatnonzero(counts)
@@ -148,7 +205,8 @@ def scan_many(
             unseen = np.pad(unseen.reshape(k, -1), ((0, 0), (0, (1 << top) - (1 << shift))),
                             constant_values=True).ravel()
             shift = top
-        key |= np.repeat(np.arange(k) << shift, counts)
+        if k > 1:
+            key |= np.repeat(np.arange(k) << shift, counts)
         cand = np.flatnonzero(unseen.take(key))
         if not cand.size:
             continue

@@ -6,19 +6,26 @@ the one holding hi, so with b0 = 6 * (lo // 6) mask entry e stands for
 b0 + 6 * (e // 2) + (1, 5)[e & 1], which is (3e + b0 + 1) | 1, and a number w
 of the wheel has entry (w - b0) // 3. The entries of the end blocks that
 lie outside [lo, hi] are cleared, and the primes 2 and 3 are added back by
-hand. The mask does not start all true. It is copied from a pattern of the
-10,010 wheel numbers of one period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with
-the multiples of 5, 7, 11 and 13 already struck; those four primes are set
-back where they fall in the interval, and 1 is cleared. The base primes p
-from 17 up then strike their multiples p * m with m = 1 (mod 6) and with
-m = 5 (mod 6): each of the two is one slice of step 2p in the mask (6p in
-the numbers). Their first mask indices, at the first such multiples
->= max(p^2, lo), come from one vectorized pass over the base primes, so the
-Python loop only slices. Each slice stores one shared read-only 0-d False
-array: given the Python scalar False, numpy would build that array again on
-every store. The loop makes 2,446 stores per segment at 1e8 and 6,790 at
-1e9, most of them of only a few entries, so the fixed cost per store sets
-the price of the loop.
+hand. The mask does not start all true: it is pre-sieved by periodic
+patterns, as segmented sieves do (Oliveira e Silva, Herzog & Pardi, Math.
+Comp. 83, 2014). It is copied from a pattern of the 10,010 wheel numbers of
+one period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with the multiples of 5, 7, 11
+and 13 already struck. Three more patterns, one for each of the groups
+(17, 19, 23), (29, 31, 37) and (41, 43, 47), are ANDed into it: the mask
+is viewed as rows of one group period each, which take one AND with the
+pattern's window at the mask's start, and the tail takes one more. The
+primes 5 to 47 are set back where they fall in the interval, and 1 is
+cleared. The base primes p from 53 up then strike their multiples p * m
+with m = 1 (mod 6) and with m = 5 (mod 6): each of the two is one slice of
+step 2p in the mask (6p in the numbers). The patterns take the place of
+the 18 longest slices, which at 1e8 hold about 222,000 of the roughly
+800,000 strikes per segment. The first mask indices, at the first such
+multiples >= max(p^2, lo), come from one vectorized pass over the base
+primes, so the Python loop only slices. Each slice stores one shared
+read-only 0-d False array: given the Python scalar False, numpy would
+build that array again on every store. The loop makes 2,428 stores per
+segment at 1e8 and 6,772 at 1e9, most of them of only a few entries, so
+the fixed cost per store sets the price of the loop.
 
 ``iter_prime_segments`` streams plain int64 prime arrays, one per segment
 of ``DEFAULT_SEGMENT_LENGTH`` numbers, read when the stream starts. The
@@ -34,9 +41,10 @@ forth if two threads ran them at once. The helper is a plain thread fed
 through two queues, one of struck masks and one of results; an exception
 raised in a readout is re-raised on the consumer's thread, and closing the
 stream stops the helper and joins it. The consumers (``prime_count``
-here, the pair stream in gapscan) split the arrays by residue with one
-floor division per prime (p - p // q * q, which numpy does faster than %);
-the scanner wants many residues of the same modulus from one pass anyway.
+here, the pair stream in gapscan) split the arrays by residue: with one
+floor division per prime (p - p // q * q, which numpy does faster than %)
+where they want many residues of the same modulus from one pass, and
+without any division where gapscan streams a single class.
 """
 
 from __future__ import annotations
@@ -56,19 +64,31 @@ DEFAULT_SEGMENT_LENGTH = 1 << 21
 # temporary stays below 2 MiB.
 _READ_CHUNK = 1 << 18
 
-# The pre-sieve pattern: entry j tells whether the wheel number (3j + 1) | 1
-# has no factor among _PRESIEVED. One period is _BLOCKS 6-blocks of two
-# entries each, and the pattern holds two periods, so any window of one
-# period is one slice. The wheel multiples of p are p * m with m = 1 and
-# m = 5 (mod 6), each a slice of step 2p from entry p * m // 3 (p itself
-# included), so no integer array is built.
+
+def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
+    """Two periods of wheel entries, false where the number has a factor in group.
+
+    Entry j stands for the wheel number (3j + 1) | 1. One period is
+    prod(group) 6-blocks of two entries each, so any window of one period
+    is one slice. The wheel multiples of p are p * m with m = 1 and m = 5
+    (mod 6), each a slice of step 2p from entry p * m // 3 (p itself
+    included), so no integer array is built.
+    """
+    pattern = np.ones(4 * math.prod(group), dtype=bool)
+    for p in group:
+        pattern[p // 3 :: 2 * p] = False
+        pattern[5 * p // 3 :: 2 * p] = False
+    return pattern
+
+
+# The pattern every mask is copied from, and the patterns ANDed into it
+# (see the module docstring); 522 KB in all.
 _PRESIEVED = (5, 7, 11, 13)
 _BLOCKS = math.prod(_PRESIEVED)
-_PATTERN = np.ones(4 * _BLOCKS, dtype=bool)
-for _p in _PRESIEVED:
-    _PATTERN[_p // 3 :: 2 * _p] = False
-    _PATTERN[5 * _p // 3 :: 2 * _p] = False
-del _p
+_PATTERN = _wheel_pattern(_PRESIEVED)
+_AND_GROUPS = ((17, 19, 23), (29, 31, 37), (41, 43, 47))
+_AND_PATTERNS = tuple(_wheel_pattern(g) for g in _AND_GROUPS)
+_PRESTRUCK = _PRESIEVED + sum(_AND_GROUPS, ())  # 5..47, set back by hand
 # The value of every strike store (see the module docstring); read-only, so
 # nothing can set it True and turn every strike into a no-op.
 _FALSE = np.zeros((), dtype=bool)
@@ -112,7 +132,7 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] as an int64 array.
 
-    base, when given, must hold every prime from 17 to isqrt(hi) in
+    base, when given, must hold every prime from 53 to isqrt(hi) in
     ascending order (the output of base_primes); other entries are ignored.
     mask, when given, is the struck mask that _strike built for the same
     [lo, hi], and only the primes are read out of it.
@@ -132,15 +152,15 @@ def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
     """
     root = math.isqrt(hi)
     if base is None:
-        base = (_read_out(1, root, _strike(1, root)) if root > _PRESIEVED[-1]
+        base = (_read_out(1, root, _strike(1, root)) if root > _PRESTRUCK[-1]
                 else np.empty(0, dtype=np.int64))
     mask = _presieved(lo // 6, 2 * (hi // 6 - lo // 6 + 1))
-    ps = base[np.searchsorted(base, _PRESIEVED[-1], side="right")
+    ps = base[np.searchsorted(base, _PRESTRUCK[-1], side="right")
               : np.searchsorted(base, root, side="right")]
     for i, step in zip(_first_strikes(lo, ps).tolist(), (2 * ps).tolist() * 2):
         mask[i::step] = _FALSE
-    if lo <= _PRESIEVED[-1]:
-        for p in _PRESIEVED:
+    if lo <= _PRESTRUCK[-1]:
+        for p in _PRESTRUCK:
             if lo <= p <= hi:
                 mask[(p - lo + lo % 6) // 3] = True
     # the end blocks' entries outside [lo, hi], and 1
@@ -185,7 +205,7 @@ def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
 
 
 def _presieved(b: int, n: int) -> np.ndarray:
-    """The wheel mask of n entries from 6-block b, with the pattern's strikes."""
+    """The wheel mask of n entries from 6-block b, with every pattern's strikes."""
     mask = np.empty(n, dtype=bool)
     j0 = 2 * (b % _BLOCKS)
     k = min(n, 2 * _BLOCKS)
@@ -194,6 +214,14 @@ def _presieved(b: int, n: int) -> np.ndarray:
         c = min(k, n - k)
         mask[k : k + c] = mask[:c]
         k += c
+    for pattern in _AND_PATTERNS:
+        period = pattern.size // 2
+        j0 = 2 * (b % (period // 2))
+        window = pattern[j0 : j0 + period]
+        k = n - n % period
+        rows = mask[:k].reshape(-1, period)  # whole periods, one row each
+        rows &= window
+        mask[k:] &= window[: n - k]
     return mask
 
 

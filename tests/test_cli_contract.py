@@ -10,7 +10,9 @@ numeric options that used to fail inside the computation (exit 4) or be
 ignored are now rejected up front, and so are a missing samples file and a
 bound above the sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a
 j-max whose bound is past float range, exit 3 before), a non-finite --c0 or
---c1, and a brun class with gcd(q, r) > 1. The unused --seed
+--c1, a brun class with gcd(q, r) > 1, and a fit --bins or brun --points
+above cli.MAX_ROWS (10^6), which used to run out of memory or run the
+whole scan first. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -149,8 +151,14 @@ EXITS = [
     # numeric options that reach the computation
     ("fit --q 6 --window 1e3:1e5 --bins 0", 2, True),  # was 4
     ("fit --q 6 --window 1e3:1e5 --bins -3", 2, True),  # was 4
+    ("fit --q 6 --window 1e3:1e5 --bins 1000001", 2, True),  # was 0
+    ("fit --q 2 --samples-csv u.csv --bins 1000000000", 2, True),  # was killed, out of memory
+    ("fit --q 6 --window 1e7:1e11 --bins 1000001", 2, True),  # was 3
     ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points -1", 2, True),  # was 4
     ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points 0", 0, False),
+    ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points 1000000", 0, False),
+    ("brun --q 2 --r 1 --d 2 --x-max 1e4 --points 1000001", 2, True),  # was 0
+    ("brun --q 2 --r 1 --d 2 --x-max 1e11 --points 1000000000", 2, True),  # was 3
     ("meanprod --q 3 --r 1 --empirical-n -5", 2, True),  # was 4
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
     # --b1 and --b2, which changed no output, are gone: argparse rejects them

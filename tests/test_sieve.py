@@ -200,6 +200,7 @@ def check_against_trial_division(lo, hi, with_base):
 
 
 ROOT = math.isqrt(MAX_SIEVE_BOUND)  # 5 (mod 6)
+PRESTRUCK = math.prod(small_primes(47)[2:])  # 5 * 7 * ... * 47, struck by the patterns
 WHEEL = st.tuples(st.integers(3, (ROOT + 1) // 6), st.sampled_from([-1, 1])).map(
     lambda t: 6 * t[0] + t[1])  # numbers from 17 up, coprime to 6
 
@@ -232,7 +233,7 @@ class TestPreSievedMask:
     """The pre-sieved wheel mask and its vectorized first strikes.
 
     Intervals cross several pattern periods, start at and next to their
-    bounds, and hold the pre-sieved primes 5, 7, 11 and 13 themselves.
+    bounds, and hold the pre-struck primes 5 to 47 themselves.
     """
 
     def test_every_small_interval(self):
@@ -261,14 +262,14 @@ class TestPreSievedMask:
                                      with_base)
 
     @settings(max_examples=40, deadline=None)
-    @given(lo=st.sampled_from([1, 2, 3, 9, 13, 15, 17]),
+    @given(lo=st.sampled_from([1, 2, 3, 9, 13, 15, 17, 29, 47, 49, 53]),
            width=st.one_of(widths, st.integers(0, 10**5)), with_base=st.booleans())
     def test_low_starts(self, lo, width, with_base):
         check_against_trial_division(lo, lo + width, with_base)
 
     @settings(max_examples=150, deadline=None)
-    # k = 0..2 are the 6-blocks of 1..17, where 2, 3 and 5..13 are set by hand
-    @given(k=st.one_of(st.integers(0, 2), st.integers(0, 10**9)), lo_res=st.integers(0, 5),
+    # k = 0..8 are the 6-blocks of 1..53, where 2, 3 and 5..47 are set by hand
+    @given(k=st.one_of(st.integers(0, 8), st.integers(0, 10**9)), lo_res=st.integers(0, 5),
            blocks=st.one_of(st.integers(0, 3), st.integers(0, 2_000)),
            hi_res=st.integers(0, 5), seg_blocks=st.integers(0, 400),
            seg_res=st.integers(1, 5), threads=st.integers(1, 3), with_base=st.booleans())
@@ -307,6 +308,14 @@ class TestPreSievedMask:
         assert sieve._PATTERN.dtype == bool
         assert np.array_equal(sieve._PATTERN, np.gcd(wheel, 5 * 7 * 11 * 13) == 1)
 
+    @pytest.mark.parametrize("group", [(17, 19, 23), (29, 31, 37), (41, 43, 47)])
+    def test_and_pattern_is_the_gcd_table(self, group):
+        pattern = dict(zip(sieve._AND_GROUPS, sieve._AND_PATTERNS))[group]
+        wheel = np.array(wheel_numbers(0, 12 * math.prod(group) - 1))  # two periods
+        assert wheel.size == pattern.size
+        assert pattern.dtype == bool
+        assert np.array_equal(pattern, np.gcd(wheel, math.prod(group)) == 1)
+
     def test_strike_value_is_a_read_only_false(self):
         assert sieve._FALSE.shape == () and sieve._FALSE.dtype == bool
         assert not sieve._FALSE
@@ -319,13 +328,14 @@ class TestPreSievedMask:
            ps=st.lists(WHEEL.filter(lambda p: p <= ROOT), max_size=20))
     def test_strike_near_the_ceiling(self, lo, width, ps):
         # base primes near the ceiling run to 3.04e9, too many to sieve here;
-        # the mask is checked against the strikes of the given numbers only,
-        # most of which start past its end
+        # the mask is checked against the patterns' strikes of 5..47 and
+        # the strikes of the given numbers only, most of which start past
+        # its end
         hi = min(lo + width, MAX_SIEVE_BOUND)
         base = np.array(sorted({17, 19, 23, 29, *ps}), dtype=np.int64)
         mask = sieve._strike(lo, hi, base)
         assert len(mask) == 2 * (hi // 6 - lo // 6 + 1)
-        want = [lo <= w <= hi and math.gcd(w, 5 * 7 * 11 * 13) == 1
+        want = [lo <= w <= hi and math.gcd(w, PRESTRUCK) == 1
                 and all(w % p for p in base.tolist()) for w in wheel_numbers(lo, hi)]
         assert mask.tolist() == want
         assert sieve._read_out(lo, hi, mask).tolist() == [
