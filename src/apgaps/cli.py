@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import brun, evstats, gapscan, trend
-from .numutil import MAX_MODULUS
+from .numutil import MAX_MODULUS, totient
 from .sieve import MAX_SIEVE_BOUND, ResidueClass
 
 EXIT_OK = 0
@@ -35,6 +35,9 @@ EXIT_COMPUTE = 4
 
 DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
 MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun curve
+# The most residue classes of one run: a scan holds about 460 bytes per class
+# and writes one file per class.
+MAX_CLASSES = 10**5
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -83,29 +86,32 @@ def _is_all(text: str) -> bool:
     return text.strip() in ("all", "all-coprime")
 
 
+def _check_classes(n: int) -> None:
+    if n > MAX_CLASSES:
+        raise UsageError(f"too many residue classes ({n} counted), the cap is {MAX_CLASSES}")
+
+
 def _residues(text: str, q: int) -> list[int]:
-    """'all' / 'all-coprime' (every r coprime to q), or a comma list with a..b ranges."""
+    """'all' / 'all-coprime' (every r coprime to q), or a comma list with a..b ranges.
+
+    More than MAX_CLASSES classes, counted before any list is built, are refused."""
     if _is_all(text):
+        _check_classes(totient(q))
         return [r for r in range(1, q) if math.gcd(r, q) == 1]
     out: set[int] = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ".." in part:
-            a, _, b = part.partition("..")
-            try:
-                lo, hi = int(a), int(b)
-            except ValueError as exc:
-                raise UsageError(f"bad residue range {part!r}") from exc
-            if lo > hi:
-                raise UsageError(f"empty residue range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            try:
-                out.add(int(part))
-            except ValueError as exc:
-                raise UsageError(f"bad residue {part!r}") from exc
+        a, dots, b = part.partition("..")
+        try:
+            lo, hi = int(a), int(b if dots else a)
+        except ValueError as exc:
+            raise UsageError(f"bad residue {part!r}") from exc
+        if lo > hi:
+            raise UsageError(f"empty residue range {part!r}")
+        _check_classes(len(out) + hi - lo + 1)
+        out.update(range(lo, hi + 1))
     if not out:
         raise UsageError("no residues given")
     return sorted(out)
@@ -204,7 +210,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _write_json({path: [dict(zip(_EVENT_COLUMNS, row)) for row in _event_rows(group)]
                      for path, group in groups.items()})
     # T0, T_f and phi log^2 p at the event end primes where the trends are defined
-    phi = trend.totient(args.q)
+    phi = totient(args.q)
     ends = sorted({ev.end_prime for res in ordered for ev in res.events})
     _write_csv(os.path.join(out, f"trend_q{args.q}.csv"), ("p", "t0", "tf", "phi_log2"),
                ((p, t0, tf, phi * math.log(p) ** 2)
@@ -314,6 +320,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
         x_needed = math.floor(math.exp(args.j_max + 1))
     except OverflowError:  # past float range, so past the sieve ceiling
         raise UsageError(f"j-max {args.j_max} needs a bound above the sieve ceiling 2^63 - 1")
+    _check_classes(totient(args.q))  # every class coprime to q
     _check_budget(args, x_needed)
     table = gapscan.interval_record_table(args.q, args.j_max, threads=args.threads)
     out = _outdir(args)
@@ -333,16 +340,14 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 
 def cmd_brun(args: argparse.Namespace) -> int:
-    if _is_all(args.r):
+    rs = [] if _is_all(args.r) else _residues(args.r, args.q)
+    if len(rs) != 1:
         raise UsageError("brun wants exactly one residue, e.g. --r 1")
-    rs = _residues(args.r, args.q)
     x_max = _parse_x(args.x_max)
     if x_max < 2:  # no pair ends below 2, and the estimate needs x > 1
         raise UsageError("brun needs x-max >= 2")
     if args.d < 1:
         raise UsageError("d must be positive")
-    if len(rs) != 1:
-        raise UsageError("brun wants exactly one residue")
     if not 0 <= args.points <= MAX_ROWS:
         raise UsageError(f"points must be at least 0 and at most {MAX_ROWS}")
     q, r, d = args.q, rs[0], args.d

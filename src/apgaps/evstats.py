@@ -65,10 +65,9 @@ def gumbel_pdf(x, scale: float, mode: float):
 
 
 def gev_cdf(x, scale: float, location: float, shape: float):
-    z = (np.asarray(x, dtype=np.float64) - location) / scale
     if abs(shape) < 1e-12:
-        out = np.exp(-np.exp(-z))
-        return out if out.ndim else float(out)
+        return gumbel_cdf(x, scale, location)
+    z = (np.asarray(x, dtype=np.float64) - location) / scale
     w = np.atleast_1d(1.0 + shape * z)
     inside = w > 0.0
     out = np.empty_like(w)

@@ -7,7 +7,6 @@ import is ``sieve.base_primes``, and sieve imports nothing from the package.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,7 +205,6 @@ def log_integral_many(xs) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1 << 15)
 def log_integral(x: float) -> float:
     """li(x) = PV integral of dt/log t from 0 to x.
 

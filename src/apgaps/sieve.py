@@ -8,31 +8,30 @@ of the wheel has entry (w - b0) // 3. The entries of the end blocks that
 lie outside [lo, hi] are cleared, and the primes 2 and 3 are added back by
 hand. The mask does not start all true: it is pre-sieved by periodic
 patterns, as segmented sieves do (Oliveira e Silva, Herzog & Pardi, Math.
-Comp. 83, 2014). It is copied from a pattern of the 10,010 wheel numbers of
-one period 2 * 3 * 5 * 7 * 11 * 13 = 30,030, with the multiples of 5, 7, 11
-and 13 already struck. Three more patterns, one for each of the groups
-(17, 19, 23), (29, 31, 37) and (41, 43, 47), are ANDed into it: the mask
-is viewed as rows of one group period each, which take one AND with the
-pattern's window at the mask's start, and the tail takes one more. The
-primes 5 to 47 are set back where they fall in the interval, and 1 is
-cleared. The base primes p from 53 up then strike their multiples p * m
-with m = 1 (mod 6) and with m = 5 (mod 6): each of the two is one slice of
-step 2p in the mask (6p in the numbers). The patterns take the place of
-the 18 longest slices, which at 1e8 hold about 222,000 of the roughly
-800,000 strikes per segment. The first mask indices, at the first such
-multiples >= max(p^2, lo), come from one vectorized pass over the base
-primes, so the Python loop only slices. Each slice stores one shared
-read-only 0-d False array: given the Python scalar False, numpy would
-build that array again on every store. The loop makes 2,428 stores per
-segment at 1e8 and 6,772 at 1e9, most of them of only a few entries, so
-the fixed cost per store sets the price of the loop.
+Comp. 83, 2014), one for each of the groups (5, 7, 11, 13), (17, 19, 23),
+(29, 31, 37) and (41, 43, 47), with the multiples of the group's primes
+struck. One loop applies them: the mask is viewed as rows of one group
+period each, and the pattern's window at the mask's start is stored into
+the rows and the tail for the first pattern and ANDed into them for the
+other three. The primes 5 to 47 are set back where they fall in the
+interval, and 1 is cleared. The base primes p from 53 up then strike
+their multiples p * m with m = 1 (mod 6) and with m = 5 (mod 6): each of
+the two is one slice of step 2p in the mask (6p in the numbers). The
+patterns take the place of the 18 longest slices, which at 1e8 hold about
+222,000 of the roughly 800,000 strikes per segment. The first mask
+indices, at the first such multiples >= max(p^2, lo), come from one
+vectorized pass over the base primes, so the Python loop only slices.
+Each slice stores one shared read-only 0-d False array: given the Python
+scalar False, numpy would build that array again on every store. The loop
+makes 2,428 stores per segment at 1e8 and 6,772 at 1e9, most of them of
+only a few entries, so the fixed cost per store sets the price of the loop.
 
 ``iter_prime_segments`` streams plain int64 prime arrays, one per segment
 of ``DEFAULT_SEGMENT_LENGTH`` numbers, read when the stream starts. The
 length counts the numbers a segment spans, not mask bytes: the default 2^21
 gives a mask of 699,052 entries (683 KiB), which stays in a 2 MiB L2 cache
 together with its primes.
-Each segment is struck (``_strike``: pattern copy and slice loop) and then
+Each segment is struck (``_strike``: pattern loop and slice loop) and then
 read out (``_read_out``: the mask's true entries as numbers). With
 threads > 1 the stream strikes on the consumer's thread and reads out on
 one helper thread: the readout is a few long numpy calls that release the
@@ -81,14 +80,10 @@ def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
     return pattern
 
 
-# The pattern every mask is copied from, and the patterns ANDed into it
-# (see the module docstring); 522 KB in all.
-_PRESIEVED = (5, 7, 11, 13)
-_BLOCKS = math.prod(_PRESIEVED)
-_PATTERN = _wheel_pattern(_PRESIEVED)
-_AND_GROUPS = ((17, 19, 23), (29, 31, 37), (41, 43, 47))
-_AND_PATTERNS = tuple(_wheel_pattern(g) for g in _AND_GROUPS)
-_PRESTRUCK = _PRESIEVED + sum(_AND_GROUPS, ())  # 5..47, set back by hand
+# The patterns every mask starts from (see the module docstring); 522 KB in all.
+_GROUPS = ((5, 7, 11, 13), (17, 19, 23), (29, 31, 37), (41, 43, 47))
+_PATTERNS = tuple(_wheel_pattern(g) for g in _GROUPS)
+_PRESTRUCK = sum(_GROUPS, ())  # 5..47, set back by hand
 # The value of every strike store (see the module docstring); read-only, so
 # nothing can set it True and turn every strike into a no-op.
 _FALSE = np.zeros((), dtype=bool)
@@ -207,21 +202,18 @@ def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
 def _presieved(b: int, n: int) -> np.ndarray:
     """The wheel mask of n entries from 6-block b, with every pattern's strikes."""
     mask = np.empty(n, dtype=bool)
-    j0 = 2 * (b % _BLOCKS)
-    k = min(n, 2 * _BLOCKS)
-    mask[:k] = _PATTERN[j0 : j0 + k]
-    while k < n:  # mask[:k] holds whole periods: double it
-        c = min(k, n - k)
-        mask[k : k + c] = mask[:c]
-        k += c
-    for pattern in _AND_PATTERNS:
+    for pattern in _PATTERNS:
         period = pattern.size // 2
         j0 = 2 * (b % (period // 2))
         window = pattern[j0 : j0 + period]
         k = n - n % period
         rows = mask[:k].reshape(-1, period)  # whole periods, one row each
-        rows &= window
-        mask[k:] &= window[: n - k]
+        if pattern is _PATTERNS[0]:
+            rows[:] = window
+            mask[k:] = window[: n - k]
+        else:
+            rows &= window
+            mask[k:] &= window[: n - k]
     return mask
 
 
@@ -254,8 +246,9 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
     """Stream the primes in [lo, hi] as int64 arrays, one per segment, in order.
 
     Each segment spans DEFAULT_SEGMENT_LENGTH numbers, read when the stream
-    starts, and its primes come from one sieve_interval call made through the
-    module attribute. With threads > 1, capped at the CPUs the process can
+    starts, and its bounds are drawn from a range as it is reached, so none
+    are held ahead. Its primes come from one sieve_interval call made through
+    the module attribute. With threads > 1, capped at the CPUs the process can
     use, the calling thread strikes every segment and one helper thread
     reads the primes out of its mask: segment k is read out while segment
     k - 1 is yielded, so at most two segments are held at once and any
@@ -269,8 +262,9 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
     threads = min(threads, _usable_cpus())
     base = base_primes(math.isqrt(hi))
     step = DEFAULT_SEGMENT_LENGTH
-    bounds = [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-    if threads <= 1 or len(bounds) == 1:
+    starts = range(lo, hi + 1, step)
+    bounds = ((a, min(a + step - 1, hi)) for a in starts)
+    if threads <= 1 or len(starts) == 1:
         for a, b in bounds:
             yield sieve_interval(a, b, base)
         return

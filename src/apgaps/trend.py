@@ -108,11 +108,13 @@ def maximal_trend(q: int, x: float, params: Optional[TrendParams] = None) -> flo
     """Trend of maximal gaps: T0 plus b1 log(phi) / (log log x)^b2 times a."""
     if not x > E:
         raise ValueError("maximal_trend needs x > e")
+    _check_domain(q, x)
     if params is None:
         params = default_params(q)
-    t0 = baseline_trend(q, x)
-    correction = params.b1 * math.log(totient(q)) / math.log(math.log(x)) ** params.b2
-    return t0 + correction * avg_gap(q, x)
+    phi, li_x = totient(q), log_integral(x)
+    a = _avg_gap(phi, x, li_x)
+    correction = params.b1 * math.log(phi) / math.log(math.log(x)) ** params.b2
+    return _baseline_trend(q, x, a, li_x) + correction * a
 
 
 def fo_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:

@@ -88,6 +88,22 @@ class TestScanCommand:
         for row, ev in zip(rows, res.events):
             assert float(row["csg"]) == pytest.approx(ev.csg, rel=1e-9)
 
+    def test_trend_overrides_change_only_tf(self, tmp_path):
+        base, over = tmp_path / "base", tmp_path / "over"
+        argv = ("scan", "--q", "6", "--r", "1", "--x-max", "1e4")
+        assert run(*argv, "--out", str(base)) == EXIT_OK
+        assert run(*argv, "--out", str(over), "--c0", "3", "--c1", "1") == EXIT_OK
+        for name in ("events_q6_r1.csv", "events_q6_merged.csv"):
+            assert (over / name).read_bytes() == (base / name).read_bytes()
+        params = dataclasses.replace(trend.default_params(6), c0=3.0, c1=1.0)
+        rows = list(csv.DictReader((over / "trend_q6.csv").open()))
+        assert rows
+        assert [r["tf"] for r in rows] == [
+            format(trend.fo_trend(6, int(r["p"]), params), ".10g") for r in rows]
+        base_rows = list(csv.DictReader((base / "trend_q6.csv").open()))
+        assert [(r["p"], r["t0"]) for r in rows] == [(r["p"], r["t0"]) for r in base_rows]
+        assert [r["tf"] for r in rows] != [r["tf"] for r in base_rows]
+
 
 class TestExports:
     """The events files of scan against the library's events, field by field."""

@@ -12,7 +12,8 @@ bound above the sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a
 j-max whose bound is past float range, exit 3 before), a non-finite --c0 or
 --c1, a brun class with gcd(q, r) > 1, and a fit --bins or brun --points
 above cli.MAX_ROWS (10^6), which used to run out of memory or run the
-whole scan first. The unused --seed
+whole scan first, and more residue classes than cli.MAX_CLASSES (10^5),
+which used to build the whole list first. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -78,6 +79,13 @@ EXITS = [
     ("brun --q 6 --r 6 --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r x --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r 3 --d 6 --x-max 1000", 2, True),  # was 0
+    # more residue classes than cli.MAX_CLASSES, counted before any list is built
+    ("scan --q 999999999989 --r all --x-max 1e3", 2, True),  # looped 10^12 times
+    ("scan --q 6 --r 1..100000000000 --x-max 1e3", 2, True),  # looped 10^11 times
+    ("brun --q 999999999989 --r 1..1000000000 --d 2 --x-max 1e3", 2, True),  # looped 10^9 times
+    ("counts --q 999999999989 --j-max 2", 2, True),  # looped 10^12 times
+    ("fit --q 999999999989 --samples-csv u.csv", 2, True),  # looped 10^12 times
+    ("fit --q 999999999989 --r 1 --samples-csv u.csv", 0, False),
     ("meanprod --q 10 --r 10", 2, True),
     ("meanprod --q 10 --r -1", 2, True),
     ("meanprod --q 10 --r x", 2, True),

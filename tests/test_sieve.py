@@ -190,7 +190,7 @@ class TestDifferential:
         assert got == [p for p in want.tolist() if p >= lo]
 
 
-PERIOD = 2 * 3 * 5 * 7 * 11 * 13  # the numbers one pre-sieve pattern spans
+PERIOD = 2 * 3 * 5 * 7 * 11 * 13  # the numbers one period of the first pattern spans
 WIDE = 10**6  # lo bound for wide intervals, so trial division stays cheap
 
 
@@ -302,15 +302,9 @@ class TestPreSievedMask:
         for lo in [MAX_SIEVE_BOUND - k for k in range(6)] + [ROOT * ROOT + k for k in (-6, 0, 6)]:
             check_first_strikes(lo, ps)
 
-    def test_pattern_is_the_gcd_table(self):
-        wheel = np.array(wheel_numbers(0, 2 * PERIOD - 1))  # two periods
-        assert wheel.size == sieve._PATTERN.size
-        assert sieve._PATTERN.dtype == bool
-        assert np.array_equal(sieve._PATTERN, np.gcd(wheel, 5 * 7 * 11 * 13) == 1)
-
-    @pytest.mark.parametrize("group", [(17, 19, 23), (29, 31, 37), (41, 43, 47)])
-    def test_and_pattern_is_the_gcd_table(self, group):
-        pattern = dict(zip(sieve._AND_GROUPS, sieve._AND_PATTERNS))[group]
+    @pytest.mark.parametrize("group", sieve._GROUPS)
+    def test_pattern_is_the_gcd_table(self, group):
+        pattern = dict(zip(sieve._GROUPS, sieve._PATTERNS))[group]
         wheel = np.array(wheel_numbers(0, 12 * math.prod(group) - 1))  # two periods
         assert wheel.size == pattern.size
         assert pattern.dtype == bool
@@ -412,6 +406,21 @@ class TestBoundedWorkers:
         assert calls["readouts"] == 49
         assert peak["threads"] - before <= (1 if cap > 1 else 0)
         assert peak["in_flight"] <= 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_segment_holds_no_bounds_ahead(self, threads, monkeypatch):
+        # a list of every segment's bounds to 1e12 held 61.9 MiB traced
+        monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            stream = iter_prime_segments(1, 10**12, threads=threads)
+            first = next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+            stream.close()
+        finally:
+            tracemalloc.stop()
+        assert first[-1] < sieve.DEFAULT_SEGMENT_LENGTH < first[-1] + 100
+        assert peak < 16 * 2**20
 
     def test_consumer_strikes_and_helper_reads_out(self, monkeypatch):
         monkeypatch.setattr(sieve, "_usable_cpus", lambda: 2)
