@@ -32,11 +32,12 @@ length counts the numbers a segment spans, not mask bytes: the default 2^21
 gives a mask of 699,052 entries (683 KiB), which stays in a 2 MiB L2 cache
 together with its primes.
 Each segment is struck (``_strike``: pattern loop and slice loop) and then
-read out (``_read_out``: the mask's true entries as numbers). With
-threads > 1 the stream strikes on the consumer's thread and reads out on
-one helper thread: the readout is a few long numpy calls that release the
-GIL, while the strike loop's short slices would trade the GIL back and
-forth if two threads ran them at once. The helper is a plain thread fed
+read out (``_read_out``: the mask's true entries as numbers). The base
+primes are sieved the same way (``base_primes``), so no mask is longer
+than one segment. With threads > 1 the stream strikes on the consumer's
+thread and reads out on one helper thread: the readout is a few long numpy
+calls that release the GIL, while the strike loop's short slices would
+trade the GIL back and forth if two threads ran them at once. The helper is a plain thread fed
 through two queues, one of struck masks and one of results; an exception
 raised in a readout is re-raised on the consumer's thread, and closing the
 stream stops the helper and joins it. The consumers (``prime_count``
@@ -59,9 +60,6 @@ import numpy as np
 
 MAX_SIEVE_BOUND = (1 << 63) - 1
 DEFAULT_SEGMENT_LENGTH = 1 << 21
-# Mask entries per flatnonzero call of a readout from block 0: its index
-# temporary stays below 2 MiB.
-_READ_CHUNK = 1 << 18
 
 
 def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
@@ -110,10 +108,22 @@ class ResidueClass:
 
 
 def base_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, sieved as the single interval [1, limit]."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return _read_out(1, limit, _strike(1, limit))
+    """All primes <= limit, from the segments of [1, limit] joined.
+
+    The segments are those iter_prime_segments would stream. Their own base
+    primes come first, sieved the same way up the chain of roots ...,
+    isqrt(limit), limit, with no call to a public function, so tracing sees
+    one base_primes call. The peak is about 16 bytes per prime plus one
+    segment.
+    """
+    tops = [limit]
+    while tops[-1] > 1:
+        tops.append(math.isqrt(tops[-1]))
+    primes = np.empty(0, dtype=np.int64)
+    for top in reversed(tops[:-1]):
+        primes = np.concatenate([_read_out(a, b, _strike(a, b, primes))
+                                 for a, b in _segments(1, top)])
+    return primes
 
 
 def _check_range(lo: int, hi: int) -> None:
@@ -127,28 +137,24 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] as an int64 array.
 
-    base, when given, must hold every prime from 53 to isqrt(hi) in
-    ascending order (the output of base_primes); other entries are ignored.
-    mask, when given, is the struck mask that _strike built for the same
-    [lo, hi], and only the primes are read out of it.
+    The interval is struck as one mask. base must hold every prime from 53
+    to isqrt(hi) in ascending order; other entries are ignored. By default
+    base_primes sieves them. mask, when given, is the struck mask that
+    _strike built for the same [lo, hi], and only the primes are read out.
     """
     _check_range(lo, hi)
     if mask is None:
-        mask = _strike(lo, hi, base)
+        mask = _strike(lo, hi, base_primes(math.isqrt(hi)) if base is None else base)
     return _read_out(lo, hi, mask)
 
 
-# _strike and _read_out are private, so the base-prime recursion adds no
-# calls to the public functions that tracing and profiling see.
-def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
+def _strike(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """The wheel mask of [lo, hi] with every composite struck.
 
-    It holds 2 * (hi // 6 - lo // 6 + 1) entries, two per 6-block.
+    It holds 2 * (hi // 6 - lo // 6 + 1) entries, two per 6-block; base is
+    as in sieve_interval.
     """
     root = math.isqrt(hi)
-    if base is None:
-        base = (_read_out(1, root, _strike(1, root)) if root > _PRESTRUCK[-1]
-                else np.empty(0, dtype=np.int64))
     mask = _presieved(lo // 6, 2 * (hi // 6 - lo // 6 + 1))
     ps = base[np.searchsorted(base, _PRESTRUCK[-1], side="right")
               : np.searchsorted(base, root, side="right")]
@@ -171,31 +177,16 @@ def _strike(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
 def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
     """The primes of [lo, hi] from its struck wheel mask, with 2 and 3 added.
 
-    When lo <= 3 the mask starts at block 0, and 2 and 3 go in front: the
-    array is sized by a count of the mask and filled _READ_CHUNK entries at
-    a time, so the primes are never held twice. Other intervals, every
-    segment after a stream's first, take one flatnonzero pass turned into
-    primes in place: the chunked fill costs them the count, a second array
-    and more flatnonzero calls, 9-12% more CPU on the sieve-bound scan and
-    Brun benchmark runs (2-vCPU VM).
+    One flatnonzero pass, turned into primes in place; when lo <= 3, the
+    mask starts at block 0 and 2 and 3 go in front.
     """
-    if lo > 3:
-        out = np.flatnonzero(mask).astype(np.int64, copy=False)
-        out *= 3
-        out += lo - lo % 6 + 1
-        out |= 1
-        return out
-    small = [p for p in (2, 3) if lo <= p <= hi]
-    k = len(small)
-    out = np.empty(k + np.count_nonzero(mask), dtype=np.int64)
-    out[:k] = small
-    for c in range(0, mask.size, _READ_CHUNK):
-        idx = np.flatnonzero(mask[c : c + _READ_CHUNK])
-        part = out[k : k + idx.size]
-        np.multiply(idx, 3, out=part)
-        part += 3 * c + 1
-        part |= 1
-        k += idx.size
+    out = np.flatnonzero(mask).astype(np.int64, copy=False)
+    out *= 3
+    out += lo - lo % 6 + 1
+    out |= 1
+    if lo <= 3:
+        small = np.array([p for p in (2, 3) if lo <= p <= hi], dtype=np.int64)
+        out = np.concatenate((small, out))
     return out
 
 
@@ -261,10 +252,8 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
     _check_range(lo, hi)
     threads = min(threads, _usable_cpus())
     base = base_primes(math.isqrt(hi))
-    step = DEFAULT_SEGMENT_LENGTH
-    starts = range(lo, hi + 1, step)
-    bounds = ((a, min(a + step - 1, hi)) for a in starts)
-    if threads <= 1 or len(starts) == 1:
+    bounds = _segments(lo, hi)
+    if threads <= 1 or hi - lo < DEFAULT_SEGMENT_LENGTH:
         for a, b in bounds:
             yield sieve_interval(a, b, base)
         return
@@ -281,6 +270,12 @@ def iter_prime_segments(lo: int, hi: int, *, threads: int = 1) -> Iterator[np.nd
     finally:
         jobs.put(None)
         helper.join()
+
+
+def _segments(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(a, b) of each segment of [lo, hi], drawn as reached; the length is read now."""
+    step = DEFAULT_SEGMENT_LENGTH
+    return ((a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step))
 
 
 def _read_out_jobs(jobs: queue.SimpleQueue, results: queue.SimpleQueue) -> None:

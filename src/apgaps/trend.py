@@ -76,7 +76,9 @@ def _check_domain(q: int, x: float) -> None:
 
 
 def _avg_gap(phi: int, x: float, li_x: float) -> float:
-    return x * phi / li_x
+    if not math.isfinite(a := x * phi / li_x):  # x * phi past float range
+        raise OverflowError(f"a(q, x) = x phi(q) / li(x) overflows at x={x}, phi(q)={phi}")
+    return a
 
 
 def _baseline_trend(q: int, x: float, a: float, li_x: float) -> float:

@@ -49,6 +49,7 @@ CHECKS = [
                                                      source="x"), ValueError),
     ("default_params-q1", lambda: trend.default_params(1), ValueError),
     ("avg_gap-q1", lambda: trend.avg_gap(1, 10), ValueError),
+    ("baseline_trend-a_overflows", lambda: trend.baseline_trend(211, 1e306), OverflowError),
     ("fo_trend-x_below_e", lambda: trend.fo_trend(6, 2.5), ValueError),
     ("rescale_many-q1", lambda: trend.rescale_many(1, [11], [2]), ValueError),
     ("trend_points-q1", lambda: trend.trend_points(1, [11]), ValueError),

@@ -176,6 +176,18 @@ class TestDifferential:
         assert got.dtype == np.int64
         assert got.tolist() == small_primes(n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seg_len=st.integers(2, 4_000), data=st.data())
+    def test_base_primes_in_segments(self, seg_len, data):
+        # at most 300 segments, so that each example stays fast
+        k = data.draw(st.integers(0, min(300, 10**5 // seg_len)))
+        n = data.draw(st.one_of(st.integers(0, 53), st.integers(0, min(10**5, 300 * seg_len)),
+                                st.sampled_from([-1, 0, 1]).map(lambda d: max(0, k * seg_len + d))))
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            got = base_primes(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == trial_division(1, n)
+
     @settings(max_examples=100, deadline=None)
     @given(cls=residue_classes(), lo=starts, width=widths,
            seg_len=st.integers(2, 4_000), threads=st.integers(1, 3))
@@ -280,7 +292,8 @@ class TestPreSievedMask:
         want = trial_division(lo, hi)
         base = base_primes(math.isqrt(hi)) if with_base else None
         assert sieve_interval(lo, hi, base).tolist() == want
-        assert len(sieve._strike(lo, hi)) == 2 * (hi // 6 - lo // 6 + 1)
+        assert len(sieve._strike(lo, hi, base_primes(math.isqrt(hi)))) == \
+            2 * (hi // 6 - lo // 6 + 1)
         # segments that are not whole 6-blocks, so each starts at another residue
         segs = segment_primes(lo, hi, 6 * seg_blocks + seg_res, threads)
         assert [p for seg in segs for p in seg.tolist()] == want
@@ -337,33 +350,39 @@ class TestPreSievedMask:
 
 
 class TestReadOutFromBlockZero:
-    """A readout with lo <= 3 puts 2 and 3 in front of the primes without copying them."""
+    """A readout with lo <= 3 puts 2 and 3 in front of the primes, and
+    base_primes strikes [1, L] one segment at a time."""
 
     @settings(max_examples=100, deadline=None)
     @given(lo=st.integers(1, 3), width=st.one_of(st.integers(0, 40), st.integers(0, 20_000)),
-           chunk=st.integers(1, 7), seg_len=st.integers(2, 4_000),
-           threads=st.integers(1, 3), with_base=st.booleans())
-    def test_chunked_fill(self, lo, width, chunk, seg_len, threads, with_base):
+           seg_len=st.integers(2, 4_000), threads=st.integers(1, 3), with_base=st.booleans())
+    def test_two_and_three_in_front(self, lo, width, seg_len, threads, with_base):
         hi = lo + width
         want = trial_division(lo, hi)
-        with mock.patch.object(sieve, "_READ_CHUNK", chunk):
-            check_against_trial_division(lo, hi, with_base)
-            assert base_primes(hi).tolist() == trial_division(1, hi)
-            segs = segment_primes(lo, hi, seg_len, threads)
+        check_against_trial_division(lo, hi, with_base)
+        assert base_primes(hi).tolist() == trial_division(1, hi)
+        segs = segment_primes(lo, hi, seg_len, threads)
         assert [p for seg in segs for p in seg.tolist()] == want
 
-    def test_peak_is_the_output(self):
-        x = 3 * 10**7
-        mask = sieve._strike(1, x)
-        tracemalloc.start()
-        try:
-            out = sieve._read_out(1, x, mask)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.size == 1_857_859  # pi(3e7)
-        assert out[:4].tolist() == [2, 3, 5, 7] and out[-1] == 29_999_999
-        assert peak <= out.nbytes + 4 * 2**20
+    def test_no_mask_longer_than_a_segment(self, monkeypatch):
+        seg_len = 2**12
+        presieved, sizes = sieve._presieved, []
+
+        def spy(b, n):
+            sizes.append(n)
+            return presieved(b, n)
+
+        monkeypatch.setattr(sieve, "_presieved", spy)
+        monkeypatch.setattr(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len)
+        got = base_primes(10**6)
+        assert got.size == 78_498 and got[-1] == 999_983  # pi(1e6), the last prime
+        assert len(sizes) >= 10**6 // seg_len
+        # seg_len numbers touch at most seg_len // 6 + 2 6-blocks
+        assert max(sizes) <= 2 * (seg_len // 6 + 2)
+
+
+# the bounds of the 49 segments of [1, 1e5] that TestBoundedWorkers streams
+STREAM_BOUNDS = {(a, min(a + 2**11 - 1, 10**5)) for a in range(1, 10**5 + 1, 2**11)}
 
 
 class TestBoundedWorkers:
@@ -383,9 +402,9 @@ class TestBoundedWorkers:
         calls = {"strikes": 0, "readouts": 0}
         peak = {"threads": 0, "in_flight": 0}
 
-        def traced_strike(lo, hi, base=None):
-            # a segment's strike; the base primes' own strike has no base
-            calls["strikes"] += base is not None
+        def traced_strike(lo, hi, base):
+            # a segment's strike, told from the base primes' strikes by its bounds
+            calls["strikes"] += (lo, hi) in STREAM_BOUNDS
             return strike(lo, hi, base)
 
         def traced(*args):
@@ -470,8 +489,8 @@ class TestBoundedWorkers:
         inner, strike = sieve.sieve_interval, sieve._strike
         calls = {"strikes": 0, "readouts": 0}
 
-        def traced_strike(lo, hi, base=None):
-            calls["strikes"] += base is not None
+        def traced_strike(lo, hi, base):
+            calls["strikes"] += (lo, hi) in STREAM_BOUNDS
             return strike(lo, hi, base)
 
         def traced(*args):
