@@ -35,6 +35,9 @@ EXIT_COMPUTE = 4
 
 DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
 MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun curve
+# The most terms of meanprod --empirical-n: its factor sieve holds about 40
+# bytes per term, so about 4 GB at the cap.
+MAX_EMPIRICAL_N = 10**8
 # The most residue classes of one run: a scan holds about 460 bytes per class
 # and writes one file per class.
 MAX_CLASSES = 10**5
@@ -381,8 +384,8 @@ def cmd_meanprod(args: argparse.Namespace) -> int:
     q, r, n_emp = args.q, args.r, args.empirical_n
     if not 0 <= r < q:
         raise UsageError("meanprod needs 0 <= r < q")
-    if n_emp is not None and n_emp < 1:
-        raise UsageError("empirical-n must be >= 1")
+    if n_emp is not None and not 1 <= n_emp <= MAX_EMPIRICAL_N:
+        raise UsageError(f"empirical-n must be at least 1 and at most {MAX_EMPIRICAL_N}")
     sm = brun.mean_singular_product(q, r)
     payload = {
         "q": q,

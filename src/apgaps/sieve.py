@@ -20,7 +20,8 @@ the two is one slice of step 2p in the mask (6p in the numbers). The
 patterns take the place of the 18 longest slices, which at 1e8 hold about
 222,000 of the roughly 800,000 strikes per segment. The first mask
 indices, at the first such multiples >= max(p^2, lo), come from one
-vectorized pass over the base primes, so the Python loop only slices.
+vectorized pass over each chunk of 2^14 base primes, so the Python loop
+only slices, and the indices it walks take a few MiB at any bound.
 Each slice stores one shared read-only 0-d False array: given the Python
 scalar False, numpy would build that array again on every store. The loop
 makes 2,428 stores per segment at 1e8 and 6,772 at 1e9, most of them of
@@ -86,6 +87,10 @@ _PRESTRUCK = sum(_GROUPS, ())  # 5..47, set back by hand
 # nothing can set it True and turn every strike into a no-op.
 _FALSE = np.zeros((), dtype=bool)
 _FALSE.flags.writeable = False
+# Base primes per pass of _strike's slice loop: more than the 3,401 up to
+# sqrt(1e9), so runs to 1e9 make one pass, while near 2^63 - 1 the first
+# strikes and their lists stay a few MiB rather than about 20 GB.
+_STRIKE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,10 @@ def _strike(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     mask = _presieved(lo // 6, 2 * (hi // 6 - lo // 6 + 1))
     ps = base[np.searchsorted(base, _PRESTRUCK[-1], side="right")
               : np.searchsorted(base, root, side="right")]
-    for i, step in zip(_first_strikes(lo, ps).tolist(), (2 * ps).tolist() * 2):
-        mask[i::step] = _FALSE
+    for c in range(0, ps.size, _STRIKE_CHUNK):
+        chunk = ps[c : c + _STRIKE_CHUNK]
+        for i, step in zip(_first_strikes(lo, chunk).tolist(), (2 * chunk).tolist() * 2):
+            mask[i::step] = _FALSE
     if lo <= _PRESTRUCK[-1]:
         for p in _PRESTRUCK:
             if lo <= p <= hi:

@@ -4,7 +4,11 @@ All trends are expressed through the expected average gap
 a(q, x) = x phi(q) / li(x) and the baseline
 T0(q, x) = a log(li(x) / a), with additive corrections for maximal gaps
 (positive, decaying like 1/(log log x)^b2) and first occurrences
-(c0 - c1 log log x times a, changing sign as x grows).
+(c0 - c1 log log x times a, changing sign as x grows). Every public trend
+function reads x, li(x) and a(q, x) from one private evaluator, _points,
+which checks q >= 2 and x > 2 once and takes li for all of its points from
+one numutil.log_integral_many call; _baseline and _fo hold the two formulas.
+A point gives the same bits in a batch as alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numutil import _prime_factors, lcm2, log_integral, log_integral_many, totient
+from .numutil import _prime_factors, lcm2, log_integral_many, totient
 from .sieve import ResidueClass
 
 E = math.e
@@ -63,70 +67,61 @@ def default_params(q: int) -> TrendParams:
     )
 
 
-def _check_domain(q: int, x: float) -> None:
+def _points(q: int, xs: Sequence[float]) -> list[tuple[float, float, float]]:
+    """(x, li(x), a(q, x)) for each x, with li taken for all points in one call.
+
+    Every trend below reads li(x) and a = x phi(q) / li(x) from here, so a
+    batch costs one numutil.log_integral_many pass and one division per point.
+    """
     if q < 2:
         raise ValueError("q must be at least 2")
-    if not x > 2:
-        raise ValueError("avg_gap needs x > 2")
+    if not all(x > 2 for x in xs):
+        raise ValueError("the trends need x > 2")
+    phi = totient(q)
+    out = []
+    for x, li_x in zip(xs, log_integral_many(xs).tolist()):
+        if not math.isfinite(a := x * phi / li_x):  # x * phi past float range
+            raise OverflowError(f"a(q, x) = x phi(q) / li(x) overflows at x={x}, phi(q)={phi}")
+        out.append((x, li_x, a))
+    return out
 
 
-# The trend formulas proper, with li(x) and a = _avg_gap(phi, x, li(x)) passed
-# in, so batches evaluate li once for all points (numutil.log_integral_many)
-# and a once per point.
-
-
-def _avg_gap(phi: int, x: float, li_x: float) -> float:
-    if not math.isfinite(a := x * phi / li_x):  # x * phi past float range
-        raise OverflowError(f"a(q, x) = x phi(q) / li(x) overflows at x={x}, phi(q)={phi}")
-    return a
-
-
-def _baseline_trend(q: int, x: float, a: float, li_x: float) -> float:
+def _baseline(q: int, x: float, li_x: float, a: float) -> float:
     ratio = li_x / a
     if ratio <= 1.0:
         raise ValueError(f"baseline trend undefined at q={q}, x={x}: li(x)/a <= 1")
     return a * math.log(ratio)
 
 
-def _fo_trend(q: int, x: float, a: float, li_x: float, params: TrendParams) -> float:
-    t0 = _baseline_trend(q, x, a, li_x)
-    return t0 + (params.c0 - params.c1 * math.log(math.log(x))) * a
+def _fo(q: int, x: float, li_x: float, a: float, params: TrendParams) -> float:
+    if not x > E:
+        raise ValueError("fo_trend needs x > e")
+    return _baseline(q, x, li_x, a) + (params.c0 - params.c1 * math.log(math.log(x))) * a
 
 
 def avg_gap(q: int, x: float) -> float:
     """Expected average gap a(q, x) = x phi(q) / li(x); needs x > 2."""
-    _check_domain(q, x)
-    return _avg_gap(totient(q), x, log_integral(x))
+    return _points(q, [x])[0][2]
 
 
 def baseline_trend(q: int, x: float) -> float:
     """T0(q, x) = a log(li(x)/a); defined while li(x)/a > 1."""
-    _check_domain(q, x)
-    li_x = log_integral(x)
-    return _baseline_trend(q, x, _avg_gap(totient(q), x, li_x), li_x)
+    return _baseline(q, *_points(q, [x])[0])
 
 
 def maximal_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
     """Trend of maximal gaps: T0 plus b1 log(phi) / (log log x)^b2 times a."""
     if not x > E:
         raise ValueError("maximal_trend needs x > e")
-    _check_domain(q, x)
-    if params is None:
-        params = default_params(q)
-    phi, li_x = totient(q), log_integral(x)
-    a = _avg_gap(phi, x, li_x)
-    correction = params.b1 * math.log(phi) / math.log(math.log(x)) ** params.b2
-    return _baseline_trend(q, x, a, li_x) + correction * a
+    params = params or default_params(q)
+    x, li_x, a = _points(q, [x])[0]
+    correction = params.b1 * math.log(totient(q)) / math.log(math.log(x)) ** params.b2
+    return _baseline(q, x, li_x, a) + correction * a
 
 
 def fo_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
     """Trend of first-occurrence gaps: T0 plus (c0 - c1 log log x) times a."""
-    if not x > E:
-        raise ValueError("fo_trend needs x > e")
-    if params is None:
-        params = default_params(q)
-    li_x = log_integral(x)
-    return _fo_trend(q, x, _avg_gap(totient(q), x, li_x), li_x, params)
+    return _fo(q, *_points(q, [x])[0], params or default_params(q))
 
 
 def rescale(event, cls: ResidueClass, params: Optional[TrendParams] = None) -> float:
@@ -142,43 +137,27 @@ def rescale_many(q: int, end_primes: Sequence[int], sizes: Sequence[int],
                  params: Optional[TrendParams] = None) -> np.ndarray:
     """u = (d - T_f(q, x)) / a(q, x) for each gap d ending at prime x.
 
-    li(x) is evaluated for all end primes in one vectorized pass; entry i is
-    bit-identical to rescale on that event alone.
+    Entry i is bit-identical to rescale on that event alone.
     """
     if len(end_primes) != len(sizes):
         raise ValueError("need one size per end prime")
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    for x in end_primes:
-        if not x > E:
-            raise ValueError("fo_trend needs x > e")
-    if params is None:
-        params = default_params(q)
-    phi = totient(q)
-    li = log_integral_many(end_primes).tolist()
-    a = [_avg_gap(phi, x, li_x) for x, li_x in zip(end_primes, li)]
-    return np.array([(d - _fo_trend(q, x, a_x, li_x, params)) / a_x
-                     for x, d, li_x, a_x in zip(end_primes, sizes, li, a)], dtype=np.float64)
+    params = params or default_params(q)
+    return np.array([(d - _fo(q, x, li_x, a, params)) / a
+                     for (x, li_x, a), d in zip(_points(q, end_primes), sizes)],
+                    dtype=np.float64)
 
 
 def trend_points(q: int, xs: Sequence[int],
                  params: Optional[TrendParams] = None) -> list[tuple[int, float, float]]:
     """(x, T0(q, x), T_f(q, x)) for each x > e where the trends are defined.
 
-    li(x) is evaluated for all points in one vectorized pass; points where
-    li(x)/a <= 1 are left out.
+    Points where li(x)/a <= 1 are left out.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if params is None:
-        params = default_params(q)
-    phi = totient(q)
-    xs = [x for x in xs if x > E]
+    params = params or default_params(q)
     out = []
-    for x, li_x in zip(xs, log_integral_many(xs).tolist()):
-        a = _avg_gap(phi, x, li_x)
+    for x, li_x, a in _points(q, [x for x in xs if x > E]):
         try:
-            out.append((x, _baseline_trend(q, x, a, li_x), _fo_trend(q, x, a, li_x, params)))
+            out.append((x, _baseline(q, x, li_x, a), _fo(q, x, li_x, a, params)))
         except ValueError:
             continue  # trend undefined this early
     return out
@@ -194,7 +173,10 @@ def predict_first_occurrence(d: float, q: int) -> float:
         raise ValueError("d must be at least 1")
     if q < 2:
         raise ValueError("q must be at least 2")
-    root = math.sqrt(d / totient(q))
+    try:
+        root = math.sqrt(d / totient(q))
+    except OverflowError:  # an integer d so large that d / phi(q) is past float range
+        return math.inf
     t = 0.5 * math.log(d) + root
     if root > 700.0 or t > 709.0:
         return math.inf
@@ -210,6 +192,8 @@ def first_occurrence_bounds(d: float, q: int) -> tuple[float, float]:
 def inverse_limit_probe(q: int, x_values: Sequence[float]) -> list[float]:
     """Ratios P(T0(q, x), q) / x; they drift toward e^{-1/2} = 0.60653 as x grows."""
     out = []
-    for x in x_values:
-        out.append(predict_first_occurrence(baseline_trend(q, x), q) / x)
+    for x, li_x, a in _points(q, x_values):
+        if (t0 := _baseline(q, x, li_x, a)) < 1:
+            raise ValueError(f"probe needs T0(q, x) >= 1, got T0({q}, {x}) = {t0:.6g}")
+        out.append(predict_first_occurrence(t0, q) / x)
     return out

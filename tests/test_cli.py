@@ -20,6 +20,7 @@ from apgaps.cli import (
     EXIT_BUDGET,
     EXIT_COMPUTE,
     EXIT_OK,
+    MAX_EMPIRICAL_N,
     main,
 )
 from apgaps.gapscan import interval_record_table, scan
@@ -330,7 +331,8 @@ class TestSmallCommands:
             raise MemoryError("Unable to allocate 7.45 GiB")
 
         monkeypatch.setattr(brun, "empirical_singular_mean", exhaust)
-        rc = run("meanprod", "--q", "3", "--r", "1", "--empirical-n", "1000000000")
+        # the cap itself passes the check; above it the run exits 2 before any work
+        rc = run("meanprod", "--q", "3", "--r", "1", "--empirical-n", str(MAX_EMPIRICAL_N))
         captured = capsys.readouterr()
         assert rc == EXIT_COMPUTE
         assert captured.out == "" and "computation error" in captured.err
@@ -351,6 +353,19 @@ class TestSmallCommands:
 
         out = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert out["location"] is None and out["upper"] is None
+
+    def test_predict_past_float_range_prints_nulls(self, capsys):
+        # d / phi(q) overflows a float; the location is inf, printed as null
+        assert run("predict", "--q", "2", "--d", str(10**310)) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["d"] == 10**310
+        assert (out["location"], out["lower"], out["upper"]) == (None, None, None)
+
+    def test_probe_names_x_where_t0_is_below_one(self, capsys):
+        assert run("probe", "--q", "2", "--x", "1e6,2.5") == EXIT_COMPUTE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "T0(2, 2.5) = 0.159111" in captured.err and "d must be" not in captured.err
 
     def test_probe(self, capsys):
         rc = run("probe", "--q", "2", "--x", "1e6,1e9,1e12")

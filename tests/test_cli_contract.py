@@ -13,7 +13,10 @@ j-max whose bound is past float range, exit 3 before), a non-finite --c0 or
 --c1, a brun class with gcd(q, r) > 1, and a fit --bins or brun --points
 above cli.MAX_ROWS (10^6), which used to run out of memory or run the
 whole scan first, and more residue classes than cli.MAX_CLASSES (10^5),
-which used to build the whole list first. The unused --seed
+which used to build the whole list first, and a meanprod --empirical-n
+above cli.MAX_EMPIRICAL_N (10^8), which exited 4 only where numpy could
+not allocate the terms. A predict --d whose d / phi(q) is past float
+range exited 4 and now prints null locations. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -131,6 +134,7 @@ EXITS = [
     ("predict --q 2 --d 0", 2, True),
     ("predict --q 2 --d -3", 2, True),
     ("predict --q 2 --d 1", 0, False),
+    ("predict --q 2 --d 1" + "0" * 310, 0, False),  # was 4: d / phi(q) past float range
     # budget overruns
     ("scan --q 6 --r 1 --x-max 1e11", 3, True),
     ("scan --q 6 --r 1 --x-max 1000000000000000001", 3, True),
@@ -153,6 +157,7 @@ EXITS = [
     ("probe --q 2 --x abc", 2, True),
     ("probe --q 2 --x ,", 2, True),
     ("probe --q 2 --x 1e6", 0, False),
+    ("probe --q 2 --x 2.5", 4, True),  # T0(2, 2.5) < 1: no gap to predict from
     # threads floor
     ("scan --q 6 --r 1 --x-max 100 --threads 0", 0, False),
     ("scan --q 6 --r 1 --x-max 100 --threads -4", 0, False),
@@ -169,6 +174,7 @@ EXITS = [
     ("brun --q 2 --r 1 --d 2 --x-max 1e11 --points 1000000000", 2, True),  # was 3
     ("meanprod --q 3 --r 1 --empirical-n -5", 2, True),  # was 4
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
+    ("meanprod --q 3 --r 1 --empirical-n 100000000000", 2, True),  # was 4: 745 GiB refused
     # --b1 and --b2, which changed no output, are gone: argparse rejects them
     ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4, then 2 as a bad b2
     ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),  # was 2 as a bad b1

@@ -51,6 +51,7 @@ CHECKS = [
     ("avg_gap-q1", lambda: trend.avg_gap(1, 10), ValueError),
     ("baseline_trend-a_overflows", lambda: trend.baseline_trend(211, 1e306), OverflowError),
     ("fo_trend-x_below_e", lambda: trend.fo_trend(6, 2.5), ValueError),
+    ("fo_trend-q1", lambda: trend.fo_trend(1, 10, trend.default_params(2)), ValueError),
     ("rescale_many-q1", lambda: trend.rescale_many(1, [11], [2]), ValueError),
     ("trend_points-q1", lambda: trend.trend_points(1, [11]), ValueError),
     ("predict_first_occurrence-d0", lambda: trend.predict_first_occurrence(0, 6), ValueError),

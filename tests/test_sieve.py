@@ -332,21 +332,40 @@ class TestPreSievedMask:
     @settings(max_examples=60, deadline=None)
     @given(lo=st.integers(0, 10**4).map(lambda k: MAX_SIEVE_BOUND - k),
            width=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 300)),
-           ps=st.lists(WHEEL.filter(lambda p: p <= ROOT), max_size=20))
-    def test_strike_near_the_ceiling(self, lo, width, ps):
+           ps=st.lists(WHEEL.filter(lambda p: p <= ROOT), max_size=20),
+           chunk=st.integers(1, 7))
+    def test_strike_near_the_ceiling(self, lo, width, ps, chunk):
         # base primes near the ceiling run to 3.04e9, too many to sieve here;
         # the mask is checked against the patterns' strikes of 5..47 and
         # the strikes of the given numbers only, most of which start past
-        # its end
+        # its end. Chunks of 1..7 base primes make the strike take several
+        # passes over them.
         hi = min(lo + width, MAX_SIEVE_BOUND)
         base = np.array(sorted({17, 19, 23, 29, *ps}), dtype=np.int64)
-        mask = sieve._strike(lo, hi, base)
+        with mock.patch.object(sieve, "_STRIKE_CHUNK", chunk):
+            mask = sieve._strike(lo, hi, base)
         assert len(mask) == 2 * (hi // 6 - lo // 6 + 1)
         want = [lo <= w <= hi and math.gcd(w, PRESTRUCK) == 1
                 and all(w % p for p in base.tolist()) for w in wheel_numbers(lo, hi)]
         assert mask.tolist() == want
         assert sieve._read_out(lo, hi, mask).tolist() == [
             w for w, keep in zip(wheel_numbers(lo, hi), want) if keep]
+
+    def test_strike_memory_is_bounded_by_the_chunk(self):
+        # one pass over all 78,498 base primes below 1e6 held 10.8 MiB
+        # traced in first strikes and their lists; chunks of 2^14 hold 2.8
+        hi = 10**12
+        lo = hi - sieve.DEFAULT_SEGMENT_LENGTH + 1
+        base = base_primes(math.isqrt(hi))
+        tracemalloc.start()
+        try:
+            mask = sieve._strike(lo, hi, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        with mock.patch.object(sieve, "_STRIKE_CHUNK", base.size):  # one pass
+            assert np.array_equal(mask, sieve._strike(lo, hi, base))
 
 
 class TestReadOutFromBlockZero:

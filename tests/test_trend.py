@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apgaps import trend
 
 from apgaps.gapscan import GapEvent, scan, scan_many
 from apgaps.numutil import log_integral, totient
@@ -252,6 +256,46 @@ class TestTrendPoints:
         assert trend_points(211, xs, p) == want
 
 
+# points above e up to 1e15, as end primes (int) and as probe points (float)
+TREND_X = st.one_of(st.integers(3, 10**15),
+                    st.floats(math.e, 1e15, exclude_min=True, allow_nan=False))
+
+
+class TestOneEvaluator:
+    """Every trend function reads li(x) and a(q, x) from trend._points, so a
+    point alone and the same point in a batch give the same bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(2, 10**5), xs=st.lists(TREND_X, min_size=1, max_size=8))
+    def test_scalar_functions_equal_the_batch(self, q, xs):
+        p = default_params(q)
+        defined = []
+        for x in xs:
+            assert avg_gap(q, x) == x * totient(q) / log_integral(x)
+            try:
+                defined.append((x, baseline_trend(q, x), fo_trend(q, x, p)))
+            except ValueError:
+                continue  # li(x)/a <= 1: trend undefined this early
+        assert [pt[2] for pt in trend._points(q, xs)] == [avg_gap(q, x) for x in xs]
+        assert trend_points(q, xs, p) == defined
+        ends = [x for x, _, _ in defined]
+        sizes = [2 * (k + 1) for k in range(len(ends))]
+        events = [GapEvent(start_prime=0, end_prime=x, size=d, is_maximal=False,
+                           maximal_index=None, fo_index=1, csg=0.0)
+                  for x, d in zip(ends, sizes)]
+        assert rescale_many(q, ends, sizes, p).tolist() == [
+            rescale(ev, ResidueClass(q, 1), p) for ev in events]
+        probed = [x for x, t0, _ in defined if t0 >= 1]
+        assert inverse_limit_probe(q, probed) == [
+            predict_first_occurrence(baseline_trend(q, x), q) / x for x in probed]
+
+    @pytest.mark.parametrize("f", [avg_gap, baseline_trend, fo_trend])
+    def test_one_domain_text(self, f):
+        for x in (2, 1.5, math.nan):
+            with pytest.raises(ValueError, match="the trends need x > 2"):
+                f(211, x)
+
+
 class TestTrendRatios:
     def test_trends_over_phi_log2(self):
         # all three trends, normalized by phi log^2 x, sit in (0, 1.2]
@@ -292,6 +336,11 @@ class TestPredictor:
     def test_overflow_guard(self):
         assert predict_first_occurrence(10**9, 2) == math.inf
 
+    def test_d_past_float_range(self):
+        # d / phi(q) itself overflows a float
+        assert predict_first_occurrence(10**310, 2) == math.inf
+        assert first_occurrence_bounds(10**310, 211) == (math.inf, math.inf)
+
     def test_bounds(self):
         lo, hi = first_occurrence_bounds(100, 2)
         center = predict_first_occurrence(100, 2)
@@ -308,6 +357,11 @@ class TestInverseLimitProbe:
         for q in (2, 211):
             r = inverse_limit_probe(q, [1e6, 1e9, 1e12])
             assert abs(r[2] - E_HALF_INV) < abs(r[0] - E_HALF_INV)
+
+    def test_t0_below_one_names_x_and_t0(self):
+        # T0(2, 2.5) = 0.159 is no gap size; the predictor would refuse it
+        with pytest.raises(ValueError, match=r"T0\(2, 2\.5\) = 0\.159111"):
+            inverse_limit_probe(2, [1e6, 2.5])
 
     def test_limit_constant(self):
         assert E_HALF_INV == pytest.approx(0.60653, abs=5e-6)
