@@ -270,16 +270,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         u = _load_samples_csv(args.samples_csv)
         maximal_u = None
     else:
-        classes = _classes(args.q, rs)
+        _classes(args.q, rs)  # refuses an r not coprime to q
         _check_budget(args, window_hi)
         results = gapscan.scan_many(args.q, rs, window_hi, threads=args.threads)
-        # (r, end_prime, size, is_maximal), merged in residue order
-        picked = sorted((c.r, ev.end_prime, ev.size, ev.is_maximal)
-                        for c in classes for ev in results[c.r].events
-                        if window_lo <= ev.end_prime <= window_hi)
-        u = trend.rescale_many(args.q, [t[1] for t in picked],
-                               [t[2] for t in picked], params)
-        maximal_u = u[np.array([t[3] for t in picked], dtype=bool)]
+        # merged in residue order (rs ascends), each class's events by end prime
+        picked = [ev for r in rs for ev in results[r].events
+                  if window_lo <= ev.end_prime <= window_hi]
+        u = trend.rescale_many(args.q, [ev.end_prime for ev in picked],
+                               [ev.size for ev in picked], params)
+        maximal_u = u[np.array([ev.is_maximal for ev in picked], dtype=bool)]
     if u.size < 10:
         raise ValueError(f"only {u.size} rescaled events in window: too few to fit")
     gfit = evstats.fit_gumbel(u)

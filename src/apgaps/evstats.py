@@ -78,6 +78,19 @@ def gev_cdf(x, scale: float, location: float, shape: float):
     return out.reshape(z.shape) if z.ndim else float(out[0])
 
 
+def _sample(values: Sequence[float], fewest: int = 1) -> np.ndarray:
+    """values as a float64 array, checked before any work is done on them.
+
+    A ValueError if they are fewer than fewest or one is not finite.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size < fewest:
+        raise ValueError(f"need {fewest} or more samples, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise ValueError("sample holds a non-finite value")
+    return arr
+
+
 def build_histogram(samples: Sequence[float], bin_count: int) -> Histogram:
     """Equal-width histogram over [min, max].
 
@@ -85,9 +98,7 @@ def build_histogram(samples: Sequence[float], bin_count: int) -> Histogram:
     last bin. A degenerate (single-value) range is widened symmetrically by
     1e-9 * max(1, |value|).
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot histogram an empty sample")
+    arr = _sample(samples)
     if bin_count < 1:
         raise ValueError("bin_count must be >= 1")
     lo = float(arr.min())
@@ -111,10 +122,8 @@ def ks_statistic(samples: Sequence[float],
     no binning. cdf is called once, on the sorted sample, and must return an
     array of the same shape.
     """
-    xs = np.sort(np.asarray(samples, dtype=np.float64))
+    xs = np.sort(_sample(samples))
     n = xs.size
-    if n == 0:
-        raise ValueError("empty sample")
     f = np.asarray(cdf(xs), dtype=np.float64)
     if f.shape != xs.shape:
         raise ValueError(f"cdf returned shape {f.shape} for a sample of shape {xs.shape}")
@@ -170,9 +179,7 @@ def fit_gumbel(samples: Sequence[float]) -> GumbelFit:
     stdev * sqrt(6) / pi, or by bisection of that equation when
     _GUMBEL_MAX_ITER steps do not settle; the mode follows in closed form.
     """
-    u = np.asarray(samples, dtype=np.float64)
-    if u.size < 10:
-        raise ValueError("Gumbel fit needs at least 10 samples")
+    u = _sample(samples, 10)
     alpha, mode = _gumbel_mle(u)
     ks = ks_statistic(u, lambda x: gumbel_cdf(x, alpha, mode))
     return GumbelFit(scale=alpha, mode=mode, ks=ks, sample_size=int(u.size))
@@ -262,9 +269,7 @@ def fit_gev(samples: Sequence[float]) -> GevFit:
     matches scipy's Nelder-Mead (maxiter = _GEV_MAX_ITER, xatol = fatol = 1e-9)
     bit for bit without importing scipy.optimize.
     """
-    u = np.asarray(samples, dtype=np.float64)
-    if u.size < 50:
-        raise ValueError("GEV fit needs at least 50 samples")
+    u = _sample(samples, 50)
     alpha, mode = _gumbel_mle(u)
     best, converged = _nelder_mead(lambda p: _gev_nll(p, u),
                                    np.array([alpha, mode, 0.0]), _GEV_MAX_ITER, 1e-9)
@@ -284,11 +289,10 @@ def fit_hyperbola(js: Sequence[float], means: Sequence[float]) -> tuple[float, f
     The sum of squared residuals is minimized by ``_nelder_mead`` from
     (kappa, delta) = (3, 2), with xatol = fatol = 1e-12; where some
     j + delta <= 0 it is a large penalty, graded to guide the simplex back.
-    Raises ValueError below two points and FitConvergenceError when the
-    simplex does not settle.
+    Raises ValueError below two points or on a value that is not finite,
+    and FitConvergenceError when the simplex does not settle.
     """
-    j = np.asarray(js, dtype=np.float64)
-    y = np.asarray(means, dtype=np.float64)
+    j, y = _sample(js), _sample(means)
     if j.size < 2:
         raise ValueError(f"hyperbola fit needs at least 2 points, got {j.size}")
 

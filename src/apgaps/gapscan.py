@@ -19,9 +19,9 @@ loop.
 
 A single class, as in ``scan --r r`` and every Brun sum, takes its own
 path through the pair stream: no residue array, no sort and no per-class
-arrays, only the class's last prime carried as a scalar. Its class test
-uses no division (``_class_test``), and for q = 2 there is none: the class
-is every prime but 2.
+arrays, only the class's last prime carried as a scalar. Its primes come
+from the sieve's one class selector, ``sieve._class_select``, which
+``sieve.prime_count`` counts through too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,13 +90,10 @@ def _class_pairs(q: int, rs: Sequence[int], hi: int, *,
 def _one_class_pairs(q: int, r: int, batches: Iterable[np.ndarray]
                      ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """_class_pairs of the one class r mod q, with its last prime carried as a scalar."""
-    in_class = _class_test(q, r)
+    select = sieve._class_select(q, r)
     last = 0  # the class's latest prime, 0 before its first
     for primes in batches:
-        if q == 2:  # the class is every prime but 2
-            ends = primes[1:] if primes[0] == 2 else primes
-        else:  # compress is several times faster than indexing by a mask
-            ends = primes.compress(in_class(primes))
+        ends = select(primes)
         if not last and ends.size:  # the class's first prime starts no pair
             last, ends = int(ends[0]), ends[1:]
         if not ends.size:
@@ -106,34 +103,6 @@ def _one_class_pairs(q: int, r: int, batches: Iterable[np.ndarray]
         np.subtract(ends[1:], ends[:-1], out=gaps[1:])
         last = int(ends[-1])
         yield np.array([ends.size]), gaps, ends
-
-
-def _class_test(q: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The mask p % q == r of an int64 array of p >= 0, with no division.
-
-    With q = 2^s * m and m odd, p is in the class when its low s bits are
-    those of r and m divides t = p + (-r mod m), which stays below 2^64. On
-    uint64, m divides t exactly when t * m^-1 (mod 2^64) <= (2^64 - 1) // m:
-    multiplying by m^-1 maps the multiples of m onto 0..(2^64 - 1) // m and
-    every other t above them (Granlund & Montgomery, PLDI 1994).
-    """
-    s = (q & -q).bit_length() - 1
-    m = q >> s
-    low, r_low = np.uint64((1 << s) - 1), np.uint64(r & ((1 << s) - 1))
-    offset = np.uint64(-r % m)
-    inverse = np.uint64(pow(m, -1, 1 << 64))
-    top = np.uint64(((1 << 64) - 1) // m)
-
-    def in_class(p: np.ndarray) -> np.ndarray:
-        u = p.view(np.uint64)
-        t = u + offset
-        t *= inverse
-        hit = t <= top
-        if s:
-            hit &= (u & low) == r_low
-        return hit
-
-    return in_class
 
 
 def _many_class_pairs(q: int, rs: Sequence[int], batches: Iterable[np.ndarray]
@@ -188,6 +157,8 @@ def scan_many(
     """Scan every requested residue class mod q in a single sieve pass."""
     rs = sorted(set(int(r) for r in r_values))
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
+    if not rs:
+        raise ValueError("no residue classes to scan")
     if x_max < 1:
         raise ValueError("x_max must be positive")
     phi = totient(q)

@@ -41,11 +41,12 @@ calls that release the GIL, while the strike loop's short slices would
 trade the GIL back and forth if two threads ran them at once. The helper is a plain thread fed
 through two queues, one of struck masks and one of results; an exception
 raised in a readout is re-raised on the consumer's thread, and closing the
-stream stops the helper and joins it. The consumers (``prime_count``
-here, the pair stream in gapscan) split the arrays by residue: with one
-floor division per prime (p - p // q * q, which numpy does faster than %)
-where they want many residues of the same modulus from one pass, and
-without any division where gapscan streams a single class.
+stream stops the helper and joins it. The consumers split the arrays by
+residue. Where one class is wanted (``prime_count`` here, the single-class
+pair stream in gapscan), one selector, ``_class_select``, decides which
+primes belong to it, with no division. Where gapscan wants many residues
+of the same modulus from one pass, it takes one floor division per prime
+(p - p // q * q, which numpy does faster than %).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -110,6 +111,42 @@ class ResidueClass:
 
     def __str__(self) -> str:  # compact form for messages and file names
         return f"{self.r} mod {self.q}"
+
+
+def _class_select(q: int, r: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function that keeps the primes of r mod q of an ascending int64 prime array.
+
+    It is the one rule for which primes lie in a single class, and it makes
+    no division. With q = 2^s * m and m odd, p is in the class when m
+    divides t = p + (-r mod m), which stays below 2^64, and its low s bits
+    are those of r. On uint64, m divides t exactly when
+    t * m^-1 (mod 2^64) <= (2^64 - 1) // m: multiplying by m^-1 maps the
+    multiples of m onto 0..(2^64 - 1) // m and every other t above them
+    (Granlund & Montgomery, PLDI 1994). For even q, r is odd, so the prime
+    2, which can only come first, is dropped by value; every prime after it
+    is odd, so the low bits need a test only when 4 divides q, and q = 2
+    keeps the rest as it is.
+    """
+    s = (q & -q).bit_length() - 1
+    m = q >> s
+    low, r_low = np.uint64((1 << s) - 1), np.uint64(r & ((1 << s) - 1))
+    offset, inverse = np.uint64(-r % m), np.uint64(pow(m, -1, 1 << 64))
+    top = np.uint64(((1 << 64) - 1) // m)
+
+    def select(primes: np.ndarray) -> np.ndarray:
+        if s and primes.size and primes[0] == 2:
+            primes = primes[1:]
+        if q == 2:
+            return primes
+        u = primes.view(np.uint64)
+        t = u + offset
+        t *= inverse
+        hit = t <= top
+        if s > 1:
+            hit &= (u & low) == r_low
+        return primes.compress(hit)  # several times faster than indexing by a mask
+
+    return select
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -309,9 +346,8 @@ def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:
     """pi(x; q, r): number of primes <= x in the class."""
     if x < 1:
         raise ValueError("x must be positive")
-    q, r = cls.q, cls.r
-    return sum(int(np.count_nonzero(p - p // q * q == r))
-               for p in iter_prime_segments(1, x, threads=threads))
+    select = _class_select(cls.q, cls.r)
+    return sum(select(p).size for p in iter_prime_segments(1, x, threads=threads))
 
 
 def count_all_primes(x: int, *, threads: int = 1) -> int:

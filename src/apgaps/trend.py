@@ -169,8 +169,8 @@ def predict_first_occurrence(d: float, q: int) -> float:
     Evaluated in log space; returns math.inf instead of overflowing once
     sqrt(d/phi(q)) passes 700.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    if not d >= 1:  # NaN too
+        raise ValueError(f"d must be at least 1, got {d}")
     if q < 2:
         raise ValueError("q must be at least 2")
     try:

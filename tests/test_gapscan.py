@@ -19,7 +19,7 @@ from apgaps.gapscan import (
     scan_many,
     tau,
 )
-from apgaps.numutil import MAX_MODULUS, lcm2, totient
+from apgaps.numutil import lcm2, totient
 from apgaps.sieve import ResidueClass
 
 from _oracles import naive_events, naive_tau, trial_division_primes_in_class
@@ -224,45 +224,6 @@ class TestPairStreamDifferential:
         assert got == [(2, 23, 21, 1, 1), (23, 37, 14, None, 2)]
         assert _event_tuples(res) == _naive_tuples(7, 2, 10**4)
         assert gap_size_counts(ResidueClass(7, 2), 10**4)[21] == 1
-
-
-def odd_numbers(hi):
-    """Odd numbers from 3 to hi."""
-    return st.integers(1, (hi - 1) // 2).map(lambda k: 2 * k + 1)
-
-
-TOP_BIT = MAX_MODULUS.bit_length() - 1  # 2^39 <= 10^12 < 2^40
-# q from 2 to MAX_MODULUS: a power of two, 2^s times an odd number, or odd
-moduli = st.one_of(
-    st.integers(1, TOP_BIT).map(lambda s: 1 << s),
-    st.integers(1, TOP_BIT - 1).flatmap(
-        lambda s: odd_numbers(MAX_MODULUS >> s).map(lambda m: m << s)),
-    odd_numbers(MAX_MODULUS))
-
-
-class TestClassTest:
-    """The division-free class test of the single-class pair stream against p % q == r.
-
-    The p are any int64 values >= 2, not only primes: the small ones 2 and 3,
-    p below r, and numbers near the class, r + kq moved by m or by 2^s, which
-    agree with r in one of its two parts only.
-    """
-
-    @settings(max_examples=400, deadline=None)
-    @given(q=moduli, data=st.data())
-    def test_matches_remainder(self, q, data):
-        r = data.draw(st.integers(1, q - 1).filter(lambda r: math.gcd(q, r) == 1), label="r")
-        low_bit = q & -q
-        m = q // low_bit
-        top = (1 << 63) - 1
-        near = st.tuples(st.integers(0, (top - r) // q), st.sampled_from(
-            [0, 1, -1, m, -m, low_bit, -low_bit, q, -q])).map(lambda t: r + t[0] * q + t[1])
-        ps = data.draw(st.lists(st.one_of(
-            st.sampled_from([2, 3]), st.integers(2, max(2, r - 1)), st.integers(2, top),
-            near.filter(lambda p: 2 <= p <= top)), min_size=1, max_size=40), label="ps")
-        got = gapscan._class_test(q, r)(np.array(ps, dtype=np.int64))
-        assert got.dtype == bool
-        assert got.tolist() == [p % q == r for p in ps]
 
 
 class TestGapEvent:

@@ -1,6 +1,8 @@
 """Library input checks: each row is a call with one argument out of range
 and the exception it must raise."""
 
+import math
+
 import pytest
 
 from apgaps import brun, evstats, gapscan, numutil, sieve, trend
@@ -31,10 +33,23 @@ CHECKS = [
     # evstats
     ("build_histogram-bins0", lambda: evstats.build_histogram([1.0, 2.0], 0), ValueError),
     ("ks_statistic-empty", lambda: evstats.ks_statistic([], lambda x: x), ValueError),
+    ("build_histogram-nan", lambda: evstats.build_histogram([1.0, math.nan, 2.0], 3),
+     ValueError),
+    ("ks_statistic-nan", lambda: evstats.ks_statistic([math.nan], lambda x: x), ValueError),
     ("fit_gumbel-zero_spread", lambda: evstats.fit_gumbel([1.5] * 10),
      evstats.FitConvergenceError),
+    ("fit_gumbel-all_nan", lambda: evstats.fit_gumbel([math.nan] * 20), ValueError),
+    ("fit_gumbel-inf", lambda: evstats.fit_gumbel([1.0] * 19 + [math.inf]), ValueError),
+    ("fit_gev-nan", lambda: evstats.fit_gev([float(k) for k in range(59)] + [math.nan]),
+     ValueError),
+    ("fit_hyperbola-nan_means", lambda: evstats.fit_hyperbola([1.0, 2.0, 3.0],
+                                                              [0.5, math.nan, 1.0]),
+     ValueError),
+    ("fit_hyperbola-inf_js", lambda: evstats.fit_hyperbola([1.0, math.inf], [0.5, 1.0]),
+     ValueError),
     # gapscan
     ("scan_many-x0", lambda: gapscan.scan_many(6, [1], 0), ValueError),
+    ("scan_many-no_classes", lambda: gapscan.scan_many(6, [], 10**4), ValueError),
     ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), ValueError),
     ("tau-d0", lambda: gapscan.tau(C6, 0, 100), ValueError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), ValueError),
@@ -56,6 +71,10 @@ CHECKS = [
     ("trend_points-q1", lambda: trend.trend_points(1, [11]), ValueError),
     ("predict_first_occurrence-d0", lambda: trend.predict_first_occurrence(0, 6), ValueError),
     ("predict_first_occurrence-q1", lambda: trend.predict_first_occurrence(6, 1), ValueError),
+    ("predict_first_occurrence-nan", lambda: trend.predict_first_occurrence(math.nan, 2),
+     ValueError),
+    ("first_occurrence_bounds-nan", lambda: trend.first_occurrence_bounds(math.nan, 2),
+     ValueError),
 ]
 
 

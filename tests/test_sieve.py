@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apgaps import sieve
-from apgaps.numutil import log_integral, totient
+from apgaps.numutil import MAX_MODULUS, log_integral, totient
 from apgaps.sieve import (
     MAX_SIEVE_BOUND,
     ResidueClass,
@@ -114,6 +114,23 @@ class TestPrimeCount:
             dividing_q = 1  # 211 itself is prime
         assert in_classes + dividing_q == total
 
+    @settings(max_examples=150, deadline=None)
+    @given(q=st.one_of(st.integers(1, 499).map(lambda k: 2 * k + 1),  # odd
+                       st.integers(0, 249).map(lambda k: 4 * k + 2),  # 2 mod 4
+                       st.integers(1, 250).map(lambda k: 4 * k)),  # 0 mod 4
+           x=st.integers(1, 5_000), data=st.data())
+    def test_matches_trial_division(self, q, x, data):
+        # odd q brings r = 2, the class of the prime 2, in half the draws;
+        # segments of 1 or 2 numbers put 2 alone at a segment's start
+        coprime = st.integers(1, q - 1).filter(lambda r: math.gcd(q, r) == 1)
+        r = data.draw(st.one_of(st.just(2), coprime) if q % 2 else coprime, label="r")
+        seg_len = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, x)),
+                            label="seg_len")
+        threads = data.draw(st.integers(1, 2), label="threads")
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            got = prime_count(ResidueClass(q, r), x, threads=threads)
+        assert got == trial_division_primes_in_class(q, r, x).size
+
     def test_pnt_for_aps(self):
         # equidistribution sanity at x = 1e8 for q = 211, every coprime r
         x = 10**8
@@ -123,6 +140,56 @@ class TestPrimeCount:
         expect = log_integral(x) / totient(211)
         for r in range(1, 211):
             assert abs(counts[r] - expect) / expect < 0.05
+
+
+def odd_numbers(lo, hi):
+    """Odd numbers from lo to hi."""
+    return st.integers((lo - 1) // 2, (hi - 1) // 2).map(lambda k: 2 * k + 1)
+
+
+TOP = (1 << 63) - 1
+TOP_BIT = MAX_MODULUS.bit_length() - 1  # 2^39 <= 10^12 < 2^40
+# q from 2 to MAX_MODULUS: a power of two, 2^s times an odd number (s of 1
+# to 3 in half the draws, so q = 2 (mod 4), 4 (mod 8) and 0 (mod 8) all
+# come often), or odd
+moduli = st.one_of(
+    st.integers(1, TOP_BIT).map(lambda s: 1 << s),
+    st.one_of(st.integers(1, 3), st.integers(1, TOP_BIT - 1)).flatmap(
+        lambda s: odd_numbers(3, MAX_MODULUS >> s).map(lambda m: m << s)),
+    odd_numbers(3, MAX_MODULUS))
+
+
+class TestClassSelect:
+    """The one class selector against p % q == r.
+
+    Its input is what the sieve streams: an ascending int64 array of odd
+    numbers, with or without 2 in front. The odd numbers are any up to
+    2^63 - 1, not only primes: 3, numbers below r, and numbers near the
+    class, r + kq moved by 1, m, 2^s or q (q = 2^s * m, m odd), which agree
+    with r in one of its two parts only. For even q the moves by 1 and m
+    are doubled, as r + kq is odd.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(q=moduli, data=st.data())
+    def test_matches_remainder(self, q, data):
+        # every coprime r; for odd q, r = 2 (the class of the prime 2) in half the draws
+        coprime = st.integers(1, q - 1).filter(lambda r: math.gcd(q, r) == 1)
+        r = data.draw(st.one_of(st.just(2), coprime) if q % 2 else coprime, label="r")
+        low_bit = q & -q
+        m = q // low_bit
+        moves = [d if q % 2 or d % 2 == 0 else 2 * d
+                 for d in (0, 1, -1, m, -m, low_bit, -low_bit, q, -q)]
+        # for odd q, one more q turns an even r + kq + d odd with the same residue
+        near = st.tuples(st.integers(0, (TOP - r) // q), st.sampled_from(moves)).map(
+            lambda t: r + t[0] * q + t[1]).map(lambda p: p if p % 2 else p + q)
+        odds = data.draw(st.lists(st.one_of(
+            st.just(3), odd_numbers(3, max(3, r)), odd_numbers(3, TOP),
+            near.filter(lambda p: 3 <= p <= TOP)), max_size=40), label="odds")
+        ps = [2] * data.draw(st.booleans(), label="two") + sorted(set(odds))
+        got = sieve._class_select(q, r)(np.array(ps, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in ps if p % q == r]
 
 
 SMALL_LIMIT = 30_000
