@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import brun, evstats, gapscan, trend
+from .gapscan import MAX_CLASSES
 from .numutil import MAX_MODULUS, totient
 from .sieve import MAX_SIEVE_BOUND, ResidueClass
 
@@ -38,9 +39,6 @@ MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun cur
 # The most terms of meanprod --empirical-n: its factor sieve holds about 40
 # bytes per term, so about 4 GB at the cap.
 MAX_EMPIRICAL_N = 10**8
-# The most residue classes of one run: a scan holds about 460 bytes per class
-# and writes one file per class.
-MAX_CLASSES = 10**5
 
 
 class UsageError(argparse.ArgumentTypeError):

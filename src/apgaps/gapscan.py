@@ -26,7 +26,6 @@ from the sieve's one class selector, ``sieve._class_select``, which
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -36,6 +35,10 @@ import numpy as np
 from . import sieve
 from .numutil import totient
 from .sieve import ResidueClass
+
+# The most residue classes of one run: a scan holds about 460 bytes per class
+# and writes one file per class.
+MAX_CLASSES = 10**5
 
 
 class GapEvent(NamedTuple):
@@ -249,26 +252,25 @@ def interval_record_table(
 
     Returns rows (j, mean first-occurrence count, mean maximal count) for
     j = 1..j_max. Records are defined globally (from the start of each class),
-    only bucketed by where their end prime lands.
+    only bucketed by where their end prime lands. More than MAX_CLASSES
+    classes are refused before any list is built.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    if totient(q) > MAX_CLASSES:
+        raise ValueError(f"too many residue classes ({totient(q)}), the cap is {MAX_CLASSES}")
     x_needed = math.floor(math.exp(j_max + 1))
     rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
-    results = scan_many(q, rs, x_needed, threads=threads)
-    # bucket j covers integers in (floor(e^j), floor(e^{j+1})]
-    bounds = [math.floor(math.exp(j)) for j in range(1, j_max + 2)]
-    fo_totals = [0] * j_max
-    max_totals = [0] * j_max
-    for r in rs:
-        for ev in results[r].events:
-            k = bisect.bisect_left(bounds, ev.end_prime)
-            if 1 <= k <= j_max:
-                fo_totals[k - 1] += 1
-                if ev.is_maximal:
-                    max_totals[k - 1] += 1
-    n = len(rs)
-    return [(j, fo_totals[j - 1] / n, max_totals[j - 1] / n) for j in range(1, j_max + 1)]
+    events = [ev for res in scan_many(q, rs, x_needed, threads=threads).values()
+              for ev in res.events]
+    # bucket j covers integers in (floor(e^j), floor(e^{j+1})]; the ends are
+    # at most the last bound, so bucket k = 0 is the only one dropped
+    bounds = np.array([math.floor(math.exp(j)) for j in range(1, j_max + 2)], dtype=np.int64)
+    k = np.searchsorted(bounds, np.array([ev.end_prime for ev in events], dtype=np.int64))
+    maximal = np.array([ev.is_maximal for ev in events], dtype=bool)
+    fo = np.bincount(k, minlength=j_max + 1)[1:].tolist()
+    mx = np.bincount(k[maximal], minlength=j_max + 1)[1:].tolist()
+    return [(j, fo[j - 1] / len(rs), mx[j - 1] / len(rs)) for j in range(1, j_max + 1)]
 
 
 def check_record_bounds(result: ScanResult) -> list[tuple[str, int, int]]:

@@ -5,22 +5,23 @@ have an entry. The mask spans whole 6-blocks, from the one holding lo to
 the one holding hi, so with b0 = 6 * (lo // 6) mask entry e stands for
 b0 + 6 * (e // 2) + (1, 5)[e & 1], which is (3e + b0 + 1) | 1, and a number w
 of the wheel has entry (w - b0) // 3. The entries of the end blocks that
-lie outside [lo, hi] are cleared, and the primes 2 and 3 are added back by
-hand. The mask does not start all true: it is pre-sieved by periodic
-patterns, as segmented sieves do (Oliveira e Silva, Herzog & Pardi, Math.
-Comp. 83, 2014), one for each of the groups (5, 7, 11, 13), (17, 19, 23),
-(29, 31, 37) and (41, 43, 47), with the multiples of the group's primes
-struck. One loop applies them: the mask is viewed as rows of one group
-period each, and the pattern's window at the mask's start is stored into
-the rows and the tail for the first pattern and ANDed into them for the
-other three. The primes 5 to 47 are set back where they fall in the
-interval, and 1 is cleared. The base primes p from 53 up then strike
-their multiples p * m with m = 1 (mod 6) and with m = 5 (mod 6): each of
-the two is one slice of step 2p in the mask (6p in the numbers). The
-patterns take the place of the 18 longest slices, which at 1e8 hold about
-222,000 of the roughly 800,000 strikes per segment. The first mask
-indices, at the first such multiples >= max(p^2, lo), come from one
-vectorized pass over each chunk of 2^14 base primes, so the Python loop
+lie outside [lo, hi] are cleared. The mask does not start all true: it is
+pre-sieved by periodic patterns, as segmented sieves do (Oliveira e Silva,
+Herzog & Pardi, Math. Comp. 83, 2014), one for each of the groups
+(5, 7, 11, 13), (17, 19, 23), (29, 31, 37) and (41, 43, 47), with the
+multiples of the group's primes struck. One loop applies them: the mask is
+viewed as rows of one group period each, and the pattern's window at the
+mask's start is stored into the rows and the tail for the first pattern and
+ANDed into them for the other three. So the patterns strike the primes 5
+to 47 themselves, and of the numbers below 53 only the entry for 1 can stay
+true. The mask holds no prime below 53: the readout alone decides them,
+taking 2 to 47 from one table, ``_SMALL``, and dropping 1. The base primes
+p from 53 up then strike their multiples p * m with m = 1 (mod 6) and with
+m = 5 (mod 6): each of the two is one slice of step 2p in the mask (6p in
+the numbers). The patterns take the place of the 18 longest slices, which
+at 1e8 hold about 222,000 of the roughly 800,000 strikes per segment. The
+first mask indices, at the first such multiples >= max(p^2, lo), come from
+one vectorized pass over each chunk of 2^14 base primes, so the Python loop
 only slices, and the indices it walks take a few MiB at any bound.
 Each slice stores one shared read-only 0-d False array: given the Python
 scalar False, numpy would build that array again on every store. The loop
@@ -33,7 +34,8 @@ length counts the numbers a segment spans, not mask bytes: the default 2^21
 gives a mask of 699,052 entries (683 KiB), which stays in a 2 MiB L2 cache
 together with its primes.
 Each segment is struck (``_strike``: pattern loop and slice loop) and then
-read out (``_read_out``: the mask's true entries as numbers). The base
+read out (``_read_out``: the mask's true entries as numbers, with the
+primes below 53 from ``_SMALL`` where the segment starts below 48). The base
 primes are sieved the same way (``base_primes``), so no mask is longer
 than one segment. With threads > 1 the stream strikes on the consumer's
 thread and reads out on one helper thread: the readout is a few long numpy
@@ -83,7 +85,9 @@ def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
 # The patterns every mask starts from (see the module docstring); 522 KB in all.
 _GROUPS = ((5, 7, 11, 13), (17, 19, 23), (29, 31, 37), (41, 43, 47))
 _PATTERNS = tuple(_wheel_pattern(g) for g in _GROUPS)
-_PRESTRUCK = sum(_GROUPS, ())  # 5..47, set back by hand
+# The primes below 53: the patterns strike 5..47 and the wheel has no entry
+# for 2 or 3, so _read_out adds them from this table.
+_SMALL = np.array((2, 3, *sum(_GROUPS, ())), dtype=np.int64)
 # The value of every strike store (see the module docstring); read-only, so
 # nothing can set it True and turn every strike into a no-op.
 _FALSE = np.zeros((), dtype=bool)
@@ -179,10 +183,12 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
                    mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Primes in [lo, hi] as an int64 array.
 
-    The interval is struck as one mask. base must hold every prime from 53
-    to isqrt(hi) in ascending order; other entries are ignored. By default
-    base_primes sieves them. mask, when given, is the struck mask that
-    _strike built for the same [lo, hi], and only the primes are read out.
+    The interval is struck as one mask, which holds the primes from 53 up;
+    the readout adds those below 53 from a table. base must hold every
+    prime from 53 to isqrt(hi) in ascending order; other entries are
+    ignored. By default base_primes sieves them. mask, when given, is the
+    struck mask that _strike built for the same [lo, hi], and only the
+    primes are read out.
     """
     _check_range(lo, hi)
     if mask is None:
@@ -191,25 +197,22 @@ def sieve_interval(lo: int, hi: int, base: Optional[np.ndarray] = None,
 
 
 def _strike(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """The wheel mask of [lo, hi] with every composite struck.
+    """The wheel mask of [lo, hi], true at its primes from 53 up.
 
     It holds 2 * (hi // 6 - lo // 6 + 1) entries, two per 6-block; base is
-    as in sieve_interval.
+    as in sieve_interval. The patterns strike every wheel number below 53
+    but 1, and the slices every composite from 53 up; the end blocks'
+    entries outside [lo, hi] are cleared, so none reads out past hi.
     """
-    root = math.isqrt(hi)
     mask = _presieved(lo // 6, 2 * (hi // 6 - lo // 6 + 1))
-    ps = base[np.searchsorted(base, _PRESTRUCK[-1], side="right")
-              : np.searchsorted(base, root, side="right")]
+    ps = base[np.searchsorted(base, _SMALL[-1], side="right")
+              : np.searchsorted(base, math.isqrt(hi), side="right")]
     for c in range(0, ps.size, _STRIKE_CHUNK):
         chunk = ps[c : c + _STRIKE_CHUNK]
         for i, step in zip(_first_strikes(lo, chunk).tolist(), (2 * chunk).tolist() * 2):
             mask[i::step] = _FALSE
-    if lo <= _PRESTRUCK[-1]:
-        for p in _PRESTRUCK:
-            if lo <= p <= hi:
-                mask[(p - lo + lo % 6) // 3] = True
-    # the end blocks' entries outside [lo, hi], and 1
-    if lo % 6 > 1 or lo == 1:
+    # the end blocks' entries outside [lo, hi]
+    if lo % 6 > 1:
         mask[0] = False
     if hi % 6 < 5:
         mask[-1] = False
@@ -219,18 +222,22 @@ def _strike(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 def _read_out(lo: int, hi: int, mask: np.ndarray) -> np.ndarray:
-    """The primes of [lo, hi] from its struck wheel mask, with 2 and 3 added.
+    """The primes of [lo, hi] from its struck wheel mask.
 
-    One flatnonzero pass, turned into primes in place; when lo <= 3, the
-    mask starts at block 0 and 2 and 3 go in front.
+    One flatnonzero pass, turned into numbers in place. This is the one
+    place that decides the primes below 53: when lo <= 47, the numbers read
+    out up to 47 (only 1 can be among them) are dropped and the primes of
+    _SMALL in [lo, hi] go in front.
     """
     out = np.flatnonzero(mask).astype(np.int64, copy=False)
     out *= 3
     out += lo - lo % 6 + 1
     out |= 1
-    if lo <= 3:
-        small = np.array([p for p in (2, 3) if lo <= p <= hi], dtype=np.int64)
-        out = np.concatenate((small, out))
+    if lo <= _SMALL[-1]:
+        # of the numbers <= 47 only 1 can be left, and the table replaces them;
+        # a slice, so the segment's primes are not copied twice
+        keep = np.searchsorted(out, _SMALL[-1], side="right")
+        out = np.concatenate((_SMALL[(lo <= _SMALL) & (_SMALL <= hi)], out[keep:]))
     return out
 
 

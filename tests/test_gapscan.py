@@ -1,3 +1,4 @@
+import bisect
 import math
 import threading
 from collections import Counter, defaultdict
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgaps import brun, cli, gapscan, sieve
@@ -396,6 +397,24 @@ class TestIntervalCounts:
 
     def test_row_count(self):
         assert len(interval_record_table(6, 10)) == 10
+
+    @settings(max_examples=30, deadline=None)
+    # q = 4: the gap 3 -> 7 of 3 mod 4 ends exactly on the bound floor(e^2) = 7
+    @example(q=4, j_max=1)
+    @example(q=4, j_max=3)
+    @given(q=st.integers(2, 60), j_max=st.integers(1, 9))
+    def test_matches_oracle_events(self, q, j_max):
+        x = math.floor(math.exp(j_max + 1))
+        bounds = [math.floor(math.exp(j)) for j in range(1, j_max + 2)]
+        rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
+        fo, mx = [0] * (j_max + 1), [0] * (j_max + 1)
+        for r in rs:
+            for ev in naive_events(q, r, x):
+                k = bisect.bisect_left(bounds, ev["end_prime"])
+                fo[k] += 1
+                mx[k] += ev["is_maximal"]
+        want = [(j, fo[j] / len(rs), mx[j] / len(rs)) for j in range(1, j_max + 1)]
+        assert interval_record_table(q, j_max) == want
 
     # counts checks the table's bound floor(e^(j-max + 1)) before it builds it
     def test_budget_honored(self, tmp_path, monkeypatch):

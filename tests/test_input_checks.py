@@ -53,6 +53,9 @@ CHECKS = [
     ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), ValueError),
     ("tau-d0", lambda: gapscan.tau(C6, 0, 100), ValueError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), ValueError),
+    # phi(q) = 999999999988 classes, refused before the coprime list is built
+    ("interval_record_table-too_many_classes",
+     lambda: gapscan.interval_record_table(999999999989, 1), ValueError),
     # numutil
     ("twin_prime_constant-cutoff2", lambda: numutil.twin_prime_constant(2), ValueError),
     # sieve

@@ -347,7 +347,7 @@ class TestPreSievedMask:
         check_against_trial_division(lo, lo + width, with_base)
 
     @settings(max_examples=150, deadline=None)
-    # k = 0..8 are the 6-blocks of 1..53, where 2, 3 and 5..47 are set by hand
+    # k = 0..8 are the 6-blocks of 1..53, where the readout adds 2..47 from its table
     @given(k=st.one_of(st.integers(0, 8), st.integers(0, 10**9)), lo_res=st.integers(0, 5),
            blocks=st.one_of(st.integers(0, 3), st.integers(0, 2_000)),
            hi_res=st.integers(0, 5), seg_blocks=st.integers(0, 400),
@@ -403,10 +403,10 @@ class TestPreSievedMask:
            chunk=st.integers(1, 7))
     def test_strike_near_the_ceiling(self, lo, width, ps, chunk):
         # base primes near the ceiling run to 3.04e9, too many to sieve here;
-        # the mask is checked against the patterns' strikes of 5..47 and
-        # the strikes of the given numbers only, most of which start past
-        # its end. Chunks of 1..7 base primes make the strike take several
-        # passes over them.
+        # the mask is checked against the patterns' strikes of the multiples
+        # of 5..47 and the strikes of the given numbers only, most of which
+        # start past its end. Chunks of 1..7 base primes make the strike
+        # take several passes over them.
         hi = min(lo + width, MAX_SIEVE_BOUND)
         base = np.array(sorted({17, 19, 23, 29, *ps}), dtype=np.int64)
         with mock.patch.object(sieve, "_STRIKE_CHUNK", chunk):
@@ -436,19 +436,30 @@ class TestPreSievedMask:
 
 
 class TestReadOutFromBlockZero:
-    """A readout with lo <= 3 puts 2 and 3 in front of the primes, and
+    """The struck mask holds no number below 53 but possibly 1, a readout
+    with lo <= 47 puts the primes below 53 in front from one table, and
     base_primes strikes [1, L] one segment at a time."""
 
     @settings(max_examples=100, deadline=None)
-    @given(lo=st.integers(1, 3), width=st.one_of(st.integers(0, 40), st.integers(0, 20_000)),
+    @given(lo=st.integers(1, 53), width=st.one_of(st.integers(0, 60), st.integers(0, 20_000)),
            seg_len=st.integers(2, 4_000), threads=st.integers(1, 3), with_base=st.booleans())
-    def test_two_and_three_in_front(self, lo, width, seg_len, threads, with_base):
+    def test_small_primes_in_front(self, lo, width, seg_len, threads, with_base):
         hi = lo + width
         want = trial_division(lo, hi)
         check_against_trial_division(lo, hi, with_base)
         assert base_primes(hi).tolist() == trial_division(1, hi)
         segs = segment_primes(lo, hi, seg_len, threads)
         assert [p for seg in segs for p in seg.tolist()] == want
+
+    def test_strike_sets_nothing_below_53(self):
+        # the readout alone adds the primes below 53: of the entries there the
+        # strike may leave only the one for 1 set, which the readout drops
+        for lo in range(1, 54):
+            for hi in (lo, lo + 5, 53, 200):
+                mask = sieve._strike(lo, hi, base_primes(math.isqrt(hi)))
+                set_below = [w for w, keep in zip(wheel_numbers(lo, hi), mask.tolist())
+                             if keep and w < 53]
+                assert set_below in ([], [1]), (lo, hi)
 
     def test_no_mask_longer_than_a_segment(self, monkeypatch):
         seg_len = 2**12
