@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sieve as sievemod
 from .gapscan import _class_pairs
-from .numutil import PI2_INV, _prime_factors, lcm2, log_integral, totient
+from .numutil import PI2_INV, _prime_factors, gap_admissible, lcm2, log_integral, totient
 from .sieve import ResidueClass
 
 if TYPE_CHECKING:
@@ -141,7 +141,8 @@ def brun_growth(
     results do not depend on the thread count. The running sum is carried
     from batch to batch, with the same bits as one cumsum over the whole
     run, and each checkpoint is read as the stream passes it, so memory
-    stays that of one batch.
+    stays that of one batch. A d that numutil.gap_admissible refuses for the
+    class gives all-zero sums without sieving.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -151,7 +152,9 @@ def brun_growth(
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
     total = 0.0
     count = 0
-    for _, gaps, ends in _class_pairs(cls.q, [cls.r], xs[-1], threads=threads):
+    pairs = _class_pairs(cls.q, [cls.r], xs[-1], threads=threads) \
+        if gap_admissible(d, cls.q, cls.r) else ()
+    for _, gaps, ends in pairs:
         en = ends.compress(gaps == d)
         if not en.size:
             continue
@@ -187,22 +190,23 @@ def brun_estimate(d: int, q: int, x: Optional[float] = None, *,
     """Heuristic size of B_d(x; q): (A/d) e^{-d / (phi(q) log x)} with A = 2 lcm(2,q)/phi(q).
 
     Without x the x -> infinity limit A/d is returned. full_product swaps the
-    flat amplitude for the finer 2 C2 S(d) / (phi(q) d) variant.
+    flat amplitude for the finer 2 C2 S(d) / (phi(q) d) variant. A d that is
+    not a multiple of lcm(2, q) (numutil.gap_admissible with no class) gives 0.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if q < 2:
         raise ValueError("q must be at least 2")
     phi = totient(q)
+    if x is not None and x <= 1.0:
+        raise ValueError("x must exceed 1")
+    if not gap_admissible(d, q):
+        return 0.0
     if full_product:
         amp = 2.0 * _c2_amplitude(q) * singular_product(d) / (phi * d)
     else:
         amp = 2.0 * lcm2(q) / (phi * d)
-    if x is None:
-        return amp
-    if x <= 1.0:
-        raise ValueError("x must exceed 1")
-    return amp * math.exp(-d / (phi * math.log(x)))
+    return amp if x is None else amp * math.exp(-d / (phi * math.log(x)))
 
 
 def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
@@ -210,15 +214,16 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
     """Expected count of gap-d pairs with end prime <= x.
 
     C2 S(d) pi(x)^2 / (phi(q)^2 x) * exp(-d pi(x) / (phi(q) x)), with pi(x)
-    taken as li(x) by default or the exact count with exact_pi. Inadmissible
-    d (odd, or not a multiple of q) returns 0.
+    taken as li(x) by default or the exact count with exact_pi. A d that is
+    not a multiple of lcm(2, q) (numutil.gap_admissible with no class)
+    returns 0: the estimate counts recurring gaps only.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if x < 1000:
         raise ValueError("estimate needs x >= 1000")
     q = cls.q
-    if d % 2 or d % q:
+    if not gap_admissible(d, q):
         return 0.0
     phi = totient(q)
     pi_x = float(sievemod.count_all_primes(int(x), threads=threads)) if exact_pi \

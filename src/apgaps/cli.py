@@ -1,14 +1,15 @@
 """Command line interface.
 
 Each subcommand accepts only the options its cmd_x(args) reads and checks them
-before any work; argparse parses --budget, and main checks only --q
-(2 <= q <= MAX_MODULUS). scan and brun sieve to --x-max, fit to the top of
---window and counts to floor(e^(j-max + 1)); each bound is checked before
-sieving, first against the sieve's 2^63 - 1 ceiling and then against
---budget. Exit codes: 0 success, 2 invalid input, 3 sieve budget exceeded,
-4 computation error. The same arguments give byte-identical files whatever
---threads is. JSON numbers use Python float repr (shortest round trip); CSV
-floats carry 10 digits.
+before any work; argparse parses --budget, and main checks every integer
+option against its range in _RANGES before the subcommand runs. scan and
+brun sieve to --x-max, fit to the top of --window and counts to
+floor(e^(j-max + 1)); each bound is checked before sieving, first against
+the sieve's 2^63 - 1 ceiling and then against --budget. Exit codes: 0
+success, 2 invalid input, 3 sieve budget exceeded, 4 computation error. The
+same arguments give byte-identical files whatever --threads is. JSON
+numbers use Python float repr (shortest round trip); CSV floats carry 10
+digits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun cur
 # The most terms of meanprod --empirical-n: its factor sieve holds about 40
 # bytes per term, so about 4 GB at the cap.
 MAX_EMPIRICAL_N = 10**8
+
+# The range [lo, hi] of each integer option: main checks every one that the
+# subcommand has and that is set before the subcommand runs.
+_RANGES = {"q": (2, MAX_MODULUS), "d": (1, math.inf), "j_max": (1, math.inf),
+           "bins": (1, MAX_ROWS), "points": (0, MAX_ROWS), "empirical_n": (1, MAX_EMPIRICAL_N)}
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -261,8 +267,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     window_lo, window_hi = _parse_x(lo), _parse_x(hi)
     if window_lo > window_hi:
         raise UsageError("window lower bound exceeds upper bound")
-    if not 1 <= args.bins <= MAX_ROWS:
-        raise UsageError(f"bins must be at least 1 and at most {MAX_ROWS}")
     params = _trend_params(args)
     if args.samples_csv:
         u = _load_samples_csv(args.samples_csv)
@@ -314,8 +318,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_counts(args: argparse.Namespace) -> int:
-    if args.j_max < 1:
-        raise UsageError("j-max must be >= 1")
     try:
         x_needed = math.floor(math.exp(args.j_max + 1))
     except OverflowError:  # past float range, so past the sieve ceiling
@@ -346,10 +348,6 @@ def cmd_brun(args: argparse.Namespace) -> int:
     x_max = _parse_x(args.x_max)
     if x_max < 2:  # no pair ends below 2, and the estimate needs x > 1
         raise UsageError("brun needs x-max >= 2")
-    if args.d < 1:
-        raise UsageError("d must be positive")
-    if not 0 <= args.points <= MAX_ROWS:
-        raise UsageError(f"points must be at least 0 and at most {MAX_ROWS}")
     q, r, d = args.q, rs[0], args.d
     (cls,) = _classes(q, rs)
     _check_budget(args, x_max)
@@ -381,8 +379,6 @@ def cmd_meanprod(args: argparse.Namespace) -> int:
     q, r, n_emp = args.q, args.r, args.empirical_n
     if not 0 <= r < q:
         raise UsageError("meanprod needs 0 <= r < q")
-    if n_emp is not None and not 1 <= n_emp <= MAX_EMPIRICAL_N:
-        raise UsageError(f"empirical-n must be at least 1 and at most {MAX_EMPIRICAL_N}")
     sm = brun.mean_singular_product(q, r)
     payload = {
         "q": q,
@@ -401,8 +397,6 @@ def cmd_meanprod(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.d < 1:
-        raise UsageError("d must be positive")
     p = trend.predict_first_occurrence(args.d, args.q)
     lo, hi = trend.first_occurrence_bounds(args.d, args.q)
     # past float range the predictor is inf, which JSON cannot hold
@@ -500,8 +494,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not 2 <= args.q <= MAX_MODULUS:
-            raise UsageError(f"q must be at least 2 and at most {MAX_MODULUS}")
+        for name, (lo, hi) in _RANGES.items():
+            val = getattr(args, name, None)
+            if val is not None and not lo <= val <= hi:
+                raise UsageError(f"{name.replace('_', '-')} must be at least {lo}"
+                                 + (f" and at most {hi}" if hi < math.inf else ""))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

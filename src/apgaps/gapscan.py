@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import sieve
-from .numutil import totient
+from .numutil import gap_admissible, totient
 from .sieve import ResidueClass
 
 # The most residue classes of one run: a scan holds about 460 bytes per class
@@ -231,13 +231,13 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
 def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
     """Exact count of gaps of size d with end prime <= x.
 
-    Inadmissible sizes short-circuit to 0 with no sieving: q not dividing d,
-    or d odd in a class without the prime 2. The class 2 mod q (q odd) has
-    one odd gap, the one from 2.
+    A size that the class cannot have, by numutil.gap_admissible, gives 0
+    with no sieving: gaps are multiples of lcm(2, q), except the one gap
+    from 2 in the class 2 mod q (q odd), an odd multiple of q.
     """
     if d < 1 or x < 1:
         raise ValueError("need d >= 1 and x >= 1")
-    if d % cls.q or (d % 2 and cls.r != 2):
+    if not gap_admissible(d, cls.q, cls.r):
         return 0
     return gap_size_counts(cls, x, threads=threads).get(d, 0)
 

@@ -1,4 +1,5 @@
-"""Shared numeric primitives: prime factors, totient, lcm(2,q), li(x), twin prime constant.
+"""Shared numeric primitives: prime factors, totient, lcm(2,q), admissible gap sizes,
+li(x), twin prime constant.
 
 Everything else in the package leans on these; the only intra-package
 import is ``sieve.base_primes``, and sieve imports nothing from the package.
@@ -6,6 +7,7 @@ import is ``sieve.base_primes``, and sieve imports nothing from the package.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,8 +45,11 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+@functools.lru_cache
 def totient(q: int) -> int:
-    """Euler's phi: q times (1 - 1/p) over the primes p dividing q."""
+    """Euler's phi: q times (1 - 1/p) over the primes p dividing q.
+
+    Cached, so a run that asks again for the same q factors it once."""
     if not 1 <= q <= MAX_MODULUS:
         raise ValueError(f"totient needs 1 <= q <= {MAX_MODULUS}")
     result = q
@@ -58,6 +63,15 @@ def lcm2(q: int) -> int:
     if not 1 <= q <= MAX_MODULUS:
         raise ValueError(f"lcm2 needs 1 <= q <= {MAX_MODULUS}")
     return q if q % 2 == 0 else 2 * q
+
+
+def gap_admissible(d: int, q: int, r: int = 0) -> bool:
+    """Whether consecutive primes of a class mod q can lie d apart: the one rule.
+
+    Gaps that recur are multiples of lcm2(q). Given the class r, the class
+    2 mod q (q odd) also admits the odd multiples of q, for its one gap from 2.
+    """
+    return d % lcm2(q) == 0 or (r == 2 and d % q == 0)
 
 
 # 32-point Gauss-Legendre rule on [-1, 1]; composite panels below. The

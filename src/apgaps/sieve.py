@@ -1,4 +1,4 @@
-"""Segmented prime generation over [lo, hi], optionally restricted to a residue class.
+"""Segmented prime generation over [lo, hi], and the one selector of a residue class's primes.
 
 Each segment is sieved on a mod-6 wheel: only the numbers 6k + 1 and 6k + 5
 have an entry. The mask spans whole 6-blocks, from the one holding lo to

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from apgaps import gapscan, sieve
 from apgaps.brun import (
+    BrunSum,
     brun_estimate,
     brun_growth,
     brun_partial_sum,
@@ -18,8 +19,8 @@ from apgaps.brun import (
     singular_product,
     tau_estimate,
 )
-from apgaps.gapscan import gap_size_counts
-from apgaps.numutil import TWIN_PRIME_CONSTANT, totient
+from apgaps.gapscan import gap_size_counts, tau
+from apgaps.numutil import TWIN_PRIME_CONSTANT, lcm2, totient
 from apgaps.sieve import ResidueClass
 
 from _oracles import singular_product_direct, trial_division_primes_in_class
@@ -239,6 +240,38 @@ class TestTauEstimate:
     def test_x_floor(self):
         with pytest.raises(ValueError):
             tau_estimate(6, ResidueClass(6, 1), 100)
+
+
+class TestGapRule:
+    """One rule, numutil.gap_admissible, decides which gap sizes count."""
+
+    @pytest.mark.parametrize("q", range(2, 31))
+    def test_estimates_zero_exactly_off_lcm2(self, q):
+        # the class 2 mod q has the odd gap q, but the estimates count
+        # recurring gaps only, so they ignore r
+        classes = [ResidueClass(q, r) for r in (1, 2) if math.gcd(q, r) == 1]
+        for d in range(1, 4 * q + 1):
+            off = d % lcm2(q) != 0
+            for cls in classes:
+                assert (tau_estimate(d, cls, 1e4) == 0.0) == off, (d, cls)
+            for est in (brun_estimate(d, q), brun_estimate(d, q, 1e6),
+                        brun_estimate(d, q, 1e6, full_product=True)):
+                assert (est == 0.0) == off, (d, q)
+
+    @pytest.mark.parametrize("q,r,d", [(4, 1, 2), (3, 1, 3), (6, 5, 9), (6, 5, 10), (7, 3, 7)])
+    def test_exact_counts_sieve_nothing_for_inadmissible_d(self, q, r, d, monkeypatch):
+        calls = []  # the class-pair stream's sieve calls
+        segments = sieve.iter_prime_segments
+        monkeypatch.setattr(sieve, "iter_prime_segments",
+                            lambda *a, **k: calls.append(a) or segments(*a, **k))
+        cls = ResidueClass(q, r)
+        assert tau(cls, d, 10**4) == 0
+        xs = [10, 100, 10**4]
+        assert brun_growth(d, cls, xs) == [
+            BrunSum(d=d, cls=cls, x=x, partial_sum=0.0, pair_count=0) for x in xs]
+        assert calls == []
+        tau(cls, lcm2(q), 10**4)  # an admissible size does sieve
+        assert calls
 
 
 class TestFirstOccurrenceHeuristic:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import apgaps
-from apgaps import brun, evstats, gapscan, trend
+from apgaps import brun, evstats, gapscan, numutil, trend
 from apgaps.brun import brun_partial_sum
 from apgaps.cli import (
     EXIT_BAD_INPUT,
@@ -383,6 +383,29 @@ class TestSmallCommands:
         rows = list(csv.DictReader((tmp_path / "brun_d2_q2_r1.csv").open()))
         sums = [float(r["partial_sum"]) for r in rows]
         assert sums == sorted(sums)
+
+    def test_brun_inadmissible_gap_estimates_zero(self, tmp_path, capsys):
+        # no gap in a class mod 4 has size 2: no pair and no estimate
+        rc = run("brun", "--q", "4", "--r", "1", "--d", "2", "--x-max", "1e4",
+                 "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["pair_count"], out["partial_sum"]) == (0, 0.0)
+        assert (out["estimate_at_x_max"], out["estimate_limit"]) == (0.0, 0.0)
+        rows = list(csv.DictReader((tmp_path / "brun_d2_q4_r1.csv").open()))
+        assert rows and {r["estimate"] for r in rows} == {"0"}
+
+    def test_brun_factors_q_once(self, monkeypatch, tmp_path, capsys):
+        # every checkpoint's estimate takes phi(q); the totient cache factors once
+        calls = []
+        factors = numutil._prime_factors
+        monkeypatch.setattr(numutil, "_prime_factors", lambda n: calls.append(n) or factors(n))
+        numutil.totient.cache_clear()
+        rc = run("brun", "--q", "1000003", "--r", "1", "--d", "2000006", "--x-max", "1e7",
+                 "--points", "50", "--out", str(tmp_path))
+        assert rc == EXIT_OK
+        rows = list(csv.DictReader((tmp_path / "brun_d2000006_q1000003_r1.csv").open()))
+        assert len(rows) == 50 and calls == [1000003]
 
     @pytest.mark.parametrize("x_max", [3, 50, 99])
     def test_brun_stops_at_small_x_max(self, x_max, tmp_path, capsys):

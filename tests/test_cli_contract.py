@@ -20,9 +20,10 @@ range exited 4 and now prints null locations. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
-the window 1e3:1e5 pin. Each argv runs in its own directory, which holds
-u.csv, a sample of 20 rescaled values. To print the help texts of the
-current code:
+the window 1e3:1e5 pin. The rows under "accepted edges" run each integer
+option at an accepted end of its range in cli._RANGES. Each argv runs in
+its own directory, which holds u.csv, a sample of 20 rescaled values. To
+print the help texts of the current code:
 
     PYTHONPATH=src python tests/test_cli_contract.py
 """
@@ -193,6 +194,14 @@ EXITS = [
     ("fit --q 2 --samples-csv u.csv --seed 1", 2, True),  # was 0
     ("counts --q 6 --j-max 3 --seed 1", 2, True),  # was 0
     ("brun --q 2 --r 1 --d 2 --x-max 100 --seed 1", 2, True),  # was 0
+    # accepted edges of the option ranges
+    ("predict --q 1000000000000 --d 1", 0, False),
+    ("counts --q 6 --j-max 1", 0, False),
+    ("meanprod --q 3 --r 1 --empirical-n 1", 0, False),
+    ("fit --q 2 --samples-csv u.csv --bins 1", 0, False),
+    ("brun --q 2 --r 1 --d 1 --x-max 100", 0, False),
+    # no gap of size 2 mod 4, but the budget is checked before that
+    ("brun --q 4 --r 1 --d 2 --x-max 1e11", 3, True),
 ]
 
 

@@ -8,7 +8,12 @@ code before every pair was keyed by gap // q, and scan-q211-t2-1e7 and
 counts-q6 from the code before the threaded sieve split striking from
 readout, and scan-q6-json and meanprod-q30 from the code before every
 output file was written by cli.py), so any change to an
-artifact's bytes, however small, fails here. Each run goes into its
+artifact's bytes, however small, fails here. brun-d3-q3 was re-recorded
+when brun_estimate took up the one rule for admissible gap sizes
+(numutil.gap_admissible): no recurring gap in a class mod 3 has the odd
+size 3, so its estimates, the estimate column of its curve and the
+estimate_at_x_max and estimate_limit it prints, are now 0; its partial sum
+0.7 and pair count 1, from the one gap 2 -> 5, are unchanged. Each run goes into its
 own directory with a relative ``--out``, so the paths printed on stdout do
 not depend on where the tests run. To print the digests of the current code:
 

@@ -1,5 +1,7 @@
 """Library input checks: each row is a call with one argument out of range
-and the exception it must raise."""
+and the exception it must raise. The rows ending in "-d_inadmissible" give
+a gap size that returns 0 without work, to show that every check runs
+before that shortcut."""
 
 import math
 
@@ -25,6 +27,12 @@ CHECKS = [
     ("brun_estimate-d0", lambda: brun.brun_estimate(0, 6), ValueError),
     ("brun_estimate-q1", lambda: brun.brun_estimate(2, 1), ValueError),
     ("brun_estimate-x1", lambda: brun.brun_estimate(2, 6, 1.0), ValueError),
+    ("brun_estimate-x1-d_inadmissible", lambda: brun.brun_estimate(3, 6, 1.0), ValueError),
+    ("brun_estimate-q_above_cap-d_inadmissible", lambda: brun.brun_estimate(3, 10**12 + 1),
+     ValueError),
+    ("brun_growth-checkpoint0-d_inadmissible", lambda: brun.brun_growth(9, C6, [0, 100]),
+     ValueError),
+    ("tau_estimate-x100-d_inadmissible", lambda: brun.tau_estimate(9, C6, 100), ValueError),
     ("tau_estimate-d0", lambda: brun.tau_estimate(0, C6, 1e4), ValueError),
     ("first_occurrence_log_exact-d0", lambda: brun.first_occurrence_log_exact(0, 6),
      ValueError),
@@ -52,6 +60,7 @@ CHECKS = [
     ("scan_many-no_classes", lambda: gapscan.scan_many(6, [], 10**4), ValueError),
     ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), ValueError),
     ("tau-d0", lambda: gapscan.tau(C6, 0, 100), ValueError),
+    ("tau-x0-d_inadmissible", lambda: gapscan.tau(C6, 9, 0), ValueError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), ValueError),
     # phi(q) = 999999999988 classes, refused before the coprime list is built
     ("interval_record_table-too_many_classes",

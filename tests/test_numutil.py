@@ -4,7 +4,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgaps import numutil
@@ -13,6 +13,7 @@ from apgaps.numutil import (
     LI_AT_2,
     PI2_INV,
     TWIN_PRIME_CONSTANT,
+    gap_admissible,
     lcm2,
     log_integral,
     log_integral_many,
@@ -20,7 +21,7 @@ from apgaps.numutil import (
     twin_prime_constant,
 )
 
-from _oracles import scalar_li, small_primes
+from _oracles import scalar_li, small_primes, trial_division_primes_in_class
 
 
 def mp_li(x: float) -> float:
@@ -92,6 +93,26 @@ class TestLcm2:
 
     def test_odd(self):
         assert lcm2(211) == 422
+
+
+class TestGapAdmissible:
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(2, 60), x=st.integers(1, 20_000))
+    @example(q=3, x=20_000)  # 2 -> 5, the odd gap of 2 mod 3
+    def test_every_naive_gap_is_admissible(self, q, x):
+        # with its class every gap passes; without, all but the odd gap from 2
+        for r in range(1, q):
+            if math.gcd(r, q) != 1:
+                continue
+            primes = trial_division_primes_in_class(q, r, x)
+            for start, d in zip(primes[:-1].tolist(), np.diff(primes).tolist()):
+                assert gap_admissible(d, q, r), (q, r, start, d)
+                assert gap_admissible(d, q) == (start != 2), (q, r, start, d)
+
+    def test_odd_multiple_of_q_only_in_the_class_of_two(self):
+        assert gap_admissible(3, 3, 2) and not gap_admissible(3, 3, 1)
+        assert not gap_admissible(3, 3) and gap_admissible(6, 3)
+        assert not gap_admissible(2, 4, 1) and gap_admissible(4, 4, 1)
 
 
 class TestLogIntegral:
