@@ -16,8 +16,9 @@ import numpy as np
 
 from . import sieve as sievemod
 from .gapscan import _class_pairs
-from .numutil import PI2_INV, _prime_factors, gap_admissible, lcm2, log_integral, totient
-from .sieve import ResidueClass
+from .numutil import (PI2_INV, _prime_factors, check_gap, gap_admissible, lcm2, log_integral,
+                      totient)
+from .sieve import ResidueClass, check_bound, check_modulus
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,8 +43,7 @@ class BrunSum:
 
 def singular_product(d: int) -> float:
     """S(d) = prod over odd primes p | d of (p-1)/(p-2)."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_gap(d)
     out = 1.0
     for p in _prime_factors(d):
         if p > 2:
@@ -144,11 +144,11 @@ def brun_growth(
     stays that of one batch. A d that numutil.gap_admissible refuses for the
     class gives all-zero sums without sieving.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_gap(d)
     xs = sorted(set(int(x) for x in x_values))
-    if not xs or xs[0] < 1:
-        raise ValueError("checkpoints must be positive")
+    if not xs:
+        raise ValueError("need at least one checkpoint")
+    check_bound(xs[0])
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
     total = 0.0
     count = 0
@@ -193,12 +193,10 @@ def brun_estimate(d: int, q: int, x: Optional[float] = None, *,
     flat amplitude for the finer 2 C2 S(d) / (phi(q) d) variant. A d that is
     not a multiple of lcm(2, q) (numutil.gap_admissible with no class) gives 0.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_gap(d)
+    check_modulus(q)
     phi = totient(q)
-    if x is not None and x <= 1.0:
+    if x is not None and not x > 1.0:  # NaN too
         raise ValueError("x must exceed 1")
     if not gap_admissible(d, q):
         return 0.0
@@ -218,8 +216,7 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
     not a multiple of lcm(2, q) (numutil.gap_admissible with no class)
     returns 0: the estimate counts recurring gaps only.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    check_gap(d)
     if x < 1000:
         raise ValueError("estimate needs x >= 1000")
     q = cls.q
@@ -234,9 +231,7 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
 
 def first_occurrence_log_exact(d: int, q: int) -> float:
     """Exact positive root t of t^2 - t log d - d/phi(q) = 0 (log of location)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_gap(d)
+    check_modulus(q)
     ld = math.log(d)
     return 0.5 * (ld + math.sqrt(ld * ld + 4.0 * d / totient(q)))

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import brun, evstats, gapscan, trend
 from .gapscan import MAX_CLASSES
-from .numutil import MAX_MODULUS, totient
-from .sieve import MAX_SIEVE_BOUND, ResidueClass
+from .numutil import totient
+from .sieve import MAX_MODULUS, MAX_SIEVE_BOUND, ResidueClass
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2

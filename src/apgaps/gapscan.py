@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import sieve
-from .numutil import gap_admissible, totient
+from .numutil import check_gap, gap_admissible, totient
 from .sieve import ResidueClass
 
 # The most residue classes of one run: a scan holds about 460 bytes per class
@@ -162,8 +162,7 @@ def scan_many(
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
     if not rs:
         raise ValueError("no residue classes to scan")
-    if x_max < 1:
-        raise ValueError("x_max must be positive")
+    sieve.check_bound(x_max)
     phi = totient(q)
     k = len(rs)
     events: list[list[GapEvent]] = [[] for _ in rs]
@@ -217,8 +216,7 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
 
     The sizes come in ascending order.
     """
-    if x < 1:
-        raise ValueError("x must be positive")
+    sieve.check_bound(x)
     q = cls.q
     total = np.zeros(0, dtype=np.int64)  # total[g]: pairs with gap g * q
     for _, gaps, _ in _class_pairs(q, [cls.r], x, threads=threads):
@@ -235,8 +233,8 @@ def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
     with no sieving: gaps are multiples of lcm(2, q), except the one gap
     from 2 in the class 2 mod q (q odd), an odd multiple of q.
     """
-    if d < 1 or x < 1:
-        raise ValueError("need d >= 1 and x >= 1")
+    check_gap(d)
+    sieve.check_bound(x)
     if not gap_admissible(d, cls.q, cls.r):
         return 0
     return gap_size_counts(cls, x, threads=threads).get(d, 0)

@@ -2,7 +2,10 @@
 li(x), twin prime constant.
 
 Everything else in the package leans on these; the only intra-package
-import is ``sieve.base_primes``, and sieve imports nothing from the package.
+imports are ``sieve.base_primes`` and ``sieve.MAX_MODULUS``, and sieve
+imports nothing from the package. This module owns the library's two rules
+for gap sizes: ``check_gap`` (d >= 1, NaN refused) for every public function
+that takes a gap size d, and ``gap_admissible`` for the sizes a class can have.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from .sieve import base_primes
+from .sieve import MAX_MODULUS, base_primes
 
 # li(2): the logarithmic integral carries its principal-value singularity at
 # t = 1 inside this constant, so quadrature never has to straddle it.
@@ -26,8 +29,6 @@ TWIN_PRIME_CONSTANT = 0.6601618158468696
 # Precomputed so that callers multiply by it: dividing by TWIN_PRIME_CONSTANT
 # instead rounds differently and changes the last bits of the results.
 PI2_INV = 1.0 / TWIN_PRIME_CONSTANT
-
-MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime this big
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -63,6 +64,12 @@ def lcm2(q: int) -> int:
     if not 1 <= q <= MAX_MODULUS:
         raise ValueError(f"lcm2 needs 1 <= q <= {MAX_MODULUS}")
     return q if q % 2 == 0 else 2 * q
+
+
+def check_gap(d: float) -> None:
+    """The gap-size rule of the library: d >= 1; NaN is refused."""
+    if not d >= 1:
+        raise ValueError(f"gap size d must be at least 1, got {d}")
 
 
 def gap_admissible(d: int, q: int, r: int = 0) -> bool:

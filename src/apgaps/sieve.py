@@ -1,5 +1,10 @@
 """Segmented prime generation over [lo, hi], and the one selector of a residue class's primes.
 
+This bottom module, which every other one imports, owns two input rules of
+the library: the modulus rule 2 <= q <= MAX_MODULUS (``check_modulus``,
+applied by ``ResidueClass`` and by every function taking a bare q) and the
+bound rule x >= 1 (``check_bound``, for every sieve bound from 1 up to x).
+
 Each segment is sieved on a mod-6 wheel: only the numbers 6k + 1 and 6k + 5
 have an entry. The mask spans whole 6-blocks, from the one holding lo to
 the one holding hi, so with b0 = 6 * (lo // 6) mask entry e stands for
@@ -64,6 +69,19 @@ import numpy as np
 
 MAX_SIEVE_BOUND = (1 << 63) - 1
 DEFAULT_SEGMENT_LENGTH = 1 << 21
+MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime this big
+
+
+def check_modulus(q: int) -> None:
+    """The modulus rule of the library: 2 <= q <= MAX_MODULUS."""
+    if not 2 <= q <= MAX_MODULUS:
+        raise ValueError(f"modulus q must satisfy 2 <= q <= {MAX_MODULUS}, got {q}")
+
+
+def check_bound(x: int) -> None:
+    """The bound rule of the library: x >= 1, so [1, x] holds a number; NaN is refused."""
+    if not x >= 1:
+        raise ValueError(f"bound x must be at least 1, got {x}")
 
 
 def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
@@ -100,14 +118,13 @@ _STRIKE_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """Arithmetic progression r + nq with gcd(q, r) = 1 and 1 <= r < q."""
+    """Arithmetic progression r + nq with 2 <= q <= MAX_MODULUS, gcd(q, r) = 1 and 1 <= r < q."""
 
     q: int
     r: int
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError("modulus q must be at least 2")
+        check_modulus(self.q)
         if not 1 <= self.r < self.q:
             raise ValueError("residue must satisfy 1 <= r < q")
         if math.gcd(self.q, self.r) != 1:
@@ -351,14 +368,12 @@ def _take(results: queue.SimpleQueue) -> np.ndarray:
 
 def prime_count(cls: ResidueClass, x: int, *, threads: int = 1) -> int:
     """pi(x; q, r): number of primes <= x in the class."""
-    if x < 1:
-        raise ValueError("x must be positive")
+    check_bound(x)
     select = _class_select(cls.q, cls.r)
     return sum(select(p).size for p in iter_prime_segments(1, x, threads=threads))
 
 
 def count_all_primes(x: int, *, threads: int = 1) -> int:
     """pi(x) over all primes."""
-    if x < 1:
-        return 0
+    check_bound(x)
     return sum(p.size for p in iter_prime_segments(1, x, threads=threads))

@@ -6,9 +6,9 @@ T0(q, x) = a log(li(x) / a), with additive corrections for maximal gaps
 (positive, decaying like 1/(log log x)^b2) and first occurrences
 (c0 - c1 log log x times a, changing sign as x grows). Every public trend
 function reads x, li(x) and a(q, x) from one private evaluator, _points,
-which checks q >= 2 and x > 2 once and takes li for all of its points from
-one numutil.log_integral_many call; _baseline and _fo hold the two formulas.
-A point gives the same bits in a batch as alone.
+which checks q (sieve.check_modulus) and x > 2 once and takes li for all
+of its points from one numutil.log_integral_many call; _baseline and _fo
+hold the two formulas. A point gives the same bits in a batch as alone.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numutil import _prime_factors, lcm2, log_integral_many, totient
-from .sieve import ResidueClass
+from .numutil import _prime_factors, check_gap, lcm2, log_integral_many, totient
+from .sieve import ResidueClass, check_modulus
 
 E = math.e
 
@@ -51,8 +51,7 @@ def default_params(q: int) -> TrendParams:
     even semiprimes q = 2p >= 10 use the fitted power laws in log lcm(2, q);
     any other q gets the same formulas with the extrapolated flag raised.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_modulus(q)
     if q == 2:
         return TrendParams(b1=0.0, b2=2.7, c0=3.0, c1=1.58)
     lg = math.log(lcm2(q))
@@ -73,8 +72,7 @@ def _points(q: int, xs: Sequence[float]) -> list[tuple[float, float, float]]:
     Every trend below reads li(x) and a = x phi(q) / li(x) from here, so a
     batch costs one numutil.log_integral_many pass and one division per point.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_modulus(q)
     if not all(x > 2 for x in xs):
         raise ValueError("the trends need x > 2")
     phi = totient(q)
@@ -169,10 +167,8 @@ def predict_first_occurrence(d: float, q: int) -> float:
     Evaluated in log space; returns math.inf instead of overflowing once
     sqrt(d/phi(q)) passes 700.
     """
-    if not d >= 1:  # NaN too
-        raise ValueError(f"d must be at least 1, got {d}")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    check_gap(d)
+    check_modulus(q)
     try:
         root = math.sqrt(d / totient(q))
     except OverflowError:  # an integer d so large that d / phi(q) is past float range

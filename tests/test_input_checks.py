@@ -1,14 +1,19 @@
 """Library input checks: each row is a call with one argument out of range
 and the exception it must raise. The rows ending in "-d_inadmissible" give
 a gap size that returns 0 without work, to show that every check runs
-before that shortcut."""
+before that shortcut.
+
+Three rules have one owner each: the modulus rule (sieve.check_modulus),
+the bound rule (sieve.check_bound) and the gap-size rule
+(numutil.check_gap). test_rule_has_one_owner calls every caller of each
+rule and checks that it refuses with the owner's own message."""
 
 import math
 
 import pytest
 
 from apgaps import brun, evstats, gapscan, numutil, sieve, trend
-from apgaps.sieve import ResidueClass
+from apgaps.sieve import MAX_MODULUS, ResidueClass
 
 C6 = ResidueClass(6, 1)
 
@@ -28,6 +33,7 @@ CHECKS = [
     ("brun_estimate-q1", lambda: brun.brun_estimate(2, 1), ValueError),
     ("brun_estimate-x1", lambda: brun.brun_estimate(2, 6, 1.0), ValueError),
     ("brun_estimate-x1-d_inadmissible", lambda: brun.brun_estimate(3, 6, 1.0), ValueError),
+    ("brun_estimate-x_nan", lambda: brun.brun_estimate(2, 2, math.nan), ValueError),
     ("brun_estimate-q_above_cap-d_inadmissible", lambda: brun.brun_estimate(3, 10**12 + 1),
      ValueError),
     ("brun_growth-checkpoint0-d_inadmissible", lambda: brun.brun_growth(9, C6, [0, 100]),
@@ -38,6 +44,8 @@ CHECKS = [
      ValueError),
     ("first_occurrence_log_exact-q1", lambda: brun.first_occurrence_log_exact(6, 1),
      ValueError),
+    ("first_occurrence_log_exact-q_above_cap",
+     lambda: brun.first_occurrence_log_exact(2, MAX_MODULUS + 1), ValueError),
     # evstats
     ("build_histogram-bins0", lambda: evstats.build_histogram([1.0, 2.0], 0), ValueError),
     ("ks_statistic-empty", lambda: evstats.ks_statistic([], lambda x: x), ValueError),
@@ -69,12 +77,16 @@ CHECKS = [
     ("twin_prime_constant-cutoff2", lambda: numutil.twin_prime_constant(2), ValueError),
     # sieve
     ("ResidueClass-q1", lambda: ResidueClass(1, 0), ValueError),
+    ("ResidueClass-q_2_41", lambda: ResidueClass(2**41, 1), ValueError),
+    ("ResidueClass-q_above_cap", lambda: ResidueClass(MAX_MODULUS + 1, 1), ValueError),
     ("sieve_interval-lo0", lambda: sieve.sieve_interval(0, 5), ValueError),
     ("prime_count-x0", lambda: sieve.prime_count(C6, 0), ValueError),
+    ("count_all_primes-x0", lambda: sieve.count_all_primes(0), ValueError),
     # trend
     ("TrendParams-source", lambda: trend.TrendParams(b1=4.0, b2=2.7, c0=1.0, c1=1.0,
                                                      source="x"), ValueError),
     ("default_params-q1", lambda: trend.default_params(1), ValueError),
+    ("default_params-q_above_cap", lambda: trend.default_params(MAX_MODULUS + 1), ValueError),
     ("avg_gap-q1", lambda: trend.avg_gap(1, 10), ValueError),
     ("baseline_trend-a_overflows", lambda: trend.baseline_trend(211, 1e306), OverflowError),
     ("fo_trend-x_below_e", lambda: trend.fo_trend(6, 2.5), ValueError),
@@ -94,6 +106,53 @@ CHECKS = [
 def test_bad_input_raises(call, exc):
     with pytest.raises(exc):
         call()
+
+
+# Each rule: its owner, the values it refuses, a value it accepts, and every
+# caller of the owner, as a call of the one argument the rule checks.
+RULES = {
+    "modulus": (sieve.check_modulus, (1, MAX_MODULUS + 1), MAX_MODULUS, {
+        "ResidueClass": lambda q: ResidueClass(q, 1),
+        "default_params": trend.default_params,
+        "_points": lambda q: trend.avg_gap(q, 10),
+        "predict_first_occurrence": lambda q: trend.predict_first_occurrence(6, q),
+        "brun_estimate": lambda q: brun.brun_estimate(2, q),
+        "first_occurrence_log_exact": lambda q: brun.first_occurrence_log_exact(6, q),
+    }),
+    "bound": (sieve.check_bound, (0, -5), 1, {
+        "scan_many": lambda x: gapscan.scan_many(6, [1], x),
+        "gap_size_counts": lambda x: gapscan.gap_size_counts(C6, x),
+        "tau": lambda x: gapscan.tau(C6, 6, x),
+        "prime_count": lambda x: sieve.prime_count(C6, x),
+        "count_all_primes": sieve.count_all_primes,
+        "brun_growth": lambda x: brun.brun_growth(6, C6, [x, 100]),
+    }),
+    "gap": (numutil.check_gap, (0, -2, math.nan), 6, {
+        "tau": lambda d: gapscan.tau(C6, d, 100),
+        "singular_product": brun.singular_product,
+        "brun_growth": lambda d: brun.brun_growth(d, C6, [100]),
+        "brun_estimate": lambda d: brun.brun_estimate(d, 6),
+        "tau_estimate": lambda d: brun.tau_estimate(d, C6, 1e4),
+        "first_occurrence_log_exact": lambda d: brun.first_occurrence_log_exact(d, 6),
+        "predict_first_occurrence": lambda d: trend.predict_first_occurrence(d, 6),
+    }),
+}
+CALLERS = [(rule, name, call) for rule, (*_, calls) in RULES.items()
+           for name, call in calls.items()]
+
+
+@pytest.mark.parametrize("rule,call", [(rule, call) for rule, _, call in CALLERS],
+                         ids=[f"{rule}-{name}" for rule, name, _ in CALLERS])
+def test_rule_has_one_owner(rule, call):
+    """Every caller refuses with the owner's own message and passes what it accepts."""
+    owner, refused, accepted, _ = RULES[rule]
+    for value in refused:
+        with pytest.raises(ValueError) as got:
+            call(value)
+        with pytest.raises(ValueError) as want:
+            owner(value)
+        assert str(got.value) == str(want.value)
+    call(accepted)
 
 
 def test_first_occurrence_bound_violation_is_reported():
