@@ -145,10 +145,11 @@ def brun_growth(
     class gives all-zero sums without sieving.
     """
     check_gap(d)
-    xs = sorted(set(int(x) for x in x_values))
+    xs = sorted(set(x_values))
     if not xs:
         raise ValueError("need at least one checkpoint")
-    check_bound(xs[0])
+    for x in xs:
+        check_bound(x)
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
     total = 0.0
     count = 0

@@ -158,7 +158,7 @@ def scan_many(
     threads: int = 1,
 ) -> dict[int, ScanResult]:
     """Scan every requested residue class mod q in a single sieve pass."""
-    rs = sorted(set(int(r) for r in r_values))
+    rs = sorted(set(r_values))
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
     if not rs:
         raise ValueError("no residue classes to scan")
@@ -255,6 +255,7 @@ def interval_record_table(
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    sieve.check_modulus(q)
     if totient(q) > MAX_CLASSES:
         raise ValueError(f"too many residue classes ({totient(q)}), the cap is {MAX_CLASSES}")
     x_needed = math.floor(math.exp(j_max + 1))

@@ -1,17 +1,20 @@
 """Shared numeric primitives: prime factors, totient, lcm(2,q), admissible gap sizes,
-li(x), twin prime constant.
+li(x) on [2, inf), twin prime constant.
 
 Everything else in the package leans on these; the only intra-package
 imports are ``sieve.base_primes`` and ``sieve.MAX_MODULUS``, and sieve
 imports nothing from the package. This module owns the library's two rules
-for gap sizes: ``check_gap`` (d >= 1, NaN refused) for every public function
-that takes a gap size d, and ``gap_admissible`` for the sizes a class can have.
+for gap sizes: ``check_gap`` (an integer d >= 1, or with integer=False any
+real d >= 1; NaN refused) for every public function that takes a gap size
+d, and ``gap_admissible`` for the sizes a class can have. li is evaluated
+only where every pipeline reads it, at finite x >= 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -20,8 +23,6 @@ from .sieve import MAX_MODULUS, base_primes
 # li(2): the logarithmic integral carries its principal-value singularity at
 # t = 1 inside this constant, so quadrature never has to straddle it.
 LI_AT_2 = 1.0451637801174927848
-
-EULER_GAMMA = 0.5772156649015329
 
 # prod over odd primes p of p(p-2)/(p-1)^2
 TWIN_PRIME_CONSTANT = 0.6601618158468696
@@ -66,10 +67,16 @@ def lcm2(q: int) -> int:
     return q if q % 2 == 0 else 2 * q
 
 
-def check_gap(d: float) -> None:
-    """The gap-size rule of the library: d >= 1; NaN is refused."""
+def check_gap(d: float, *, integer: bool = True) -> None:
+    """The gap-size rule of the library: d >= 1, NaN refused, and an integer.
+
+    integer=False admits a real d, for predict_first_occurrence, which probe
+    calls at a trend value T0.
+    """
     if not d >= 1:
         raise ValueError(f"gap size d must be at least 1, got {d}")
+    if integer and not isinstance(d, numbers.Integral):
+        raise ValueError(f"gap size d must be an integer, got {d}")
 
 
 def gap_admissible(d: int, q: int, r: int = 0) -> bool:
@@ -169,72 +176,32 @@ def _adaptive_inv_log(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _li_below_two(x: np.ndarray) -> np.ndarray:
-    """li(x) for 0 < x < 2 (x != 1), elementwise, without quadrature.
-
-    For |ln x| <= 1.5 the series li(x) = Ei(ln x) = gamma + ln|ln x|
-    + sum_k (ln x)^k / (k k!) (DLMF §6.6), which quadrature next to the pole
-    at 1 cannot match. Below that, li(x) = -E1(t) with t = -ln x >= 1.5, from
-    the continued fraction of E1 (DLMF §6.9) by the modified Lentz method,
-    and e^-t taken as x itself. Both run a fixed number of steps, so an
-    element's bits do not depend on the rest of the batch.
-    """
-    lnx = np.log(x)
-    out = np.empty_like(x)
-    near = np.abs(lnx) <= 1.5
-    s = lnx[near]
-    term = total = s
-    for k in range(2, 25):
-        term = term * s / k
-        total = total + term / k
-    out[near] = EULER_GAMMA + np.log(np.abs(s)) + total
-    t = -lnx[~near]
-    b = t + 1.0
-    c = np.full_like(t, np.inf)
-    d = h = 1.0 / b
-    for i in range(1, 65):
-        b = b + 2.0
-        d = 1.0 / (b - i * i * d)
-        c = b - i * i / c
-        h = h * (c * d)
-    out[~near] = -h * x[~near]
-    return out
-
-
 def log_integral_many(xs) -> np.ndarray:
-    """li(x) for each x in a 1-D sequence, in one vectorized pass.
+    """li(x) for each x in a 1-D sequence of finite x >= 2, in one vectorized pass.
 
     Element for element bit-identical to log_integral, which is this function
-    on one element. Above 2 the quadrature runs in chunks of at most
-    _CHUNK_NODES nodes through one reused buffer, so its nodes take 256 KB
-    whatever the batch size (more only for a row that alone needs more);
-    below 2, _li_below_two evaluates a series or a continued fraction.
+    on one element. li(2) is LI_AT_2; above 2 the quadrature runs in chunks
+    of at most _CHUNK_NODES nodes through one reused buffer, so its nodes
+    take 256 KB whatever the batch size (more only for a row that alone
+    needs more). Any other point (below 2, NaN or infinite) raises ValueError.
     """
     x = np.asarray(xs, dtype=np.float64).reshape(-1)
-    if not (x >= 0.0).all() or np.isinf(x).any():
-        raise ValueError("log_integral needs finite x >= 0")
-    if (x == 1.0).any():
-        raise ValueError("log_integral diverges at x = 1")
-    out = np.zeros(x.size)  # li(0) = 0
-    out[x == 2.0] = LI_AT_2
-    below_two = (0.0 < x) & (x < 2.0)
-    if below_two.any():  # its fixed steps cost about 0.5 ms even on no points
-        out[below_two] = _li_below_two(x[below_two])
-    above_two = x > 2.0
-    out[above_two] = LI_AT_2 + _adaptive_inv_log(np.full(above_two.sum(), 2.0),
-                                                  x[above_two])
+    if not ((x >= 2.0) & (x < math.inf)).all():  # NaN fails both
+        raise ValueError("log_integral needs finite x >= 2")
+    out = np.full(x.size, LI_AT_2)
+    above = x > 2.0
+    out[above] = LI_AT_2 + _adaptive_inv_log(np.full(above.sum(), 2.0), x[above])
     return out
 
 
 def log_integral(x: float) -> float:
-    """li(x) = PV integral of dt/log t from 0 to x.
+    """li(x) = PV integral of dt/log t from 0 to x, for finite x >= 2.
 
-    Above 2 computed as li(2) + quadrature over [2, x] (geometric panels),
-    which keeps the t = 1 singularity out of the integration range entirely;
-    below 2 by the series of Ei(ln x) near 1 and the continued fraction of
-    E1 nearer 0. Defined for finite x >= 0, x != 1; li(0) = 0 and li(x) < 0
-    on (0, 1). This is log_integral_many on one element; pass many points
-    there in one call.
+    Computed as li(2) + quadrature over [2, x] (geometric panels), which
+    keeps the t = 1 singularity out of the integration range entirely. Every
+    pipeline reads li at x > 2 only (the trends' points, tau_estimate's
+    x >= 1000), so no point below 2 is admitted. This is log_integral_many
+    on one element; pass many points there in one call.
     """
     return float(log_integral_many([float(x)])[0])
 

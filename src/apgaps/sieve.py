@@ -1,9 +1,11 @@
 """Segmented prime generation over [lo, hi], and the one selector of a residue class's primes.
 
-This bottom module, which every other one imports, owns two input rules of
-the library: the modulus rule 2 <= q <= MAX_MODULUS (``check_modulus``,
-applied by ``ResidueClass`` and by every function taking a bare q) and the
-bound rule x >= 1 (``check_bound``, for every sieve bound from 1 up to x).
+This bottom module, which every other one imports, owns three input rules
+of the library: the modulus rule, an integer 2 <= q <= MAX_MODULUS
+(``check_modulus``, applied by ``ResidueClass`` and by every function taking
+a bare q), the bound rule, an integer x >= 1 (``check_bound``, for every
+sieve bound from 1 up to x), and the residue rule, an integer 1 <= r < q
+coprime to q (``ResidueClass``). Integers are Python's or numpy's.
 
 Each segment is sieved on a mod-6 wheel: only the numbers 6k + 1 and 6k + 5
 have an entry. The mask spans whole 6-blocks, from the one holding lo to
@@ -59,6 +61,7 @@ of the same modulus from one pass, it takes one floor division per prime
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import queue
 import threading
@@ -73,15 +76,15 @@ MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime t
 
 
 def check_modulus(q: int) -> None:
-    """The modulus rule of the library: 2 <= q <= MAX_MODULUS."""
-    if not 2 <= q <= MAX_MODULUS:
-        raise ValueError(f"modulus q must satisfy 2 <= q <= {MAX_MODULUS}, got {q}")
+    """The modulus rule of the library: an integer 2 <= q <= MAX_MODULUS."""
+    if not (isinstance(q, numbers.Integral) and 2 <= q <= MAX_MODULUS):
+        raise ValueError(f"modulus q must be an integer with 2 <= q <= {MAX_MODULUS}, got {q}")
 
 
 def check_bound(x: int) -> None:
-    """The bound rule of the library: x >= 1, so [1, x] holds a number; NaN is refused."""
-    if not x >= 1:
-        raise ValueError(f"bound x must be at least 1, got {x}")
+    """The bound rule of the library: an integer x >= 1, so [1, x] holds a number."""
+    if not (isinstance(x, numbers.Integral) and x >= 1):
+        raise ValueError(f"bound x must be an integer of at least 1, got {x}")
 
 
 def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
@@ -118,15 +121,15 @@ _STRIKE_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """Arithmetic progression r + nq with 2 <= q <= MAX_MODULUS, gcd(q, r) = 1 and 1 <= r < q."""
+    """Arithmetic progression r + nq: integers 2 <= q <= MAX_MODULUS, 1 <= r < q, gcd(q, r) = 1."""
 
     q: int
     r: int
 
     def __post_init__(self) -> None:
         check_modulus(self.q)
-        if not 1 <= self.r < self.q:
-            raise ValueError("residue must satisfy 1 <= r < q")
+        if not (isinstance(self.r, numbers.Integral) and 1 <= self.r < self.q):
+            raise ValueError(f"residue r must be an integer with 1 <= r < q, got {self.r}")
         if math.gcd(self.q, self.r) != 1:
             raise ValueError(f"gcd({self.q}, {self.r}) != 1: class holds at most one prime")
 

@@ -167,7 +167,7 @@ def predict_first_occurrence(d: float, q: int) -> float:
     Evaluated in log space; returns math.inf instead of overflowing once
     sqrt(d/phi(q)) passes 700.
     """
-    check_gap(d)
+    check_gap(d, integer=False)
     check_modulus(q)
     try:
         root = math.sqrt(d / totient(q))

@@ -149,14 +149,12 @@ _GL32 = np.polynomial.legendre.leggauss(32)
 
 
 def scalar_li(x: float) -> float:
-    """li(x) by the package's rules, one point at a time.
+    """li(x) by the package's rule, one point at a time, for finite x >= 2.
 
     This is deliberately the same rule as numutil.log_integral_many, written
-    as the plain scalar loops it stands for. Above 2: li(2) plus 32-point
+    as the plain scalar loop it stands for: li(2) plus 32-point
     Gauss-Legendre on 8, 16, ... geometric panels, stopped at relative change
-    1e-13. Below 2: the series of Ei(ln x) for |ln x| <= 1.5, else 64 Lentz
-    steps of the continued fraction of E1(-ln x). The batch must give these
-    exact bits.
+    1e-13. The batch must give these exact bits.
     """
     nodes, weights = _GL32
 
@@ -174,30 +172,8 @@ def scalar_li(x: float) -> float:
             panels *= 2
         return prev
 
-    def log(v: float) -> float:  # numpy's log, which the batch uses
-        return float(np.log(np.array([v]))[0])
-
     li2 = 1.0451637801174927848
     x = float(x)
-    if x == 0.0:
-        return 0.0
-    if x == 2.0:
-        return li2
-    if x > 2.0:
-        return li2 + quad(2.0, x)
-    s = log(x)
-    if abs(s) <= 1.5:
-        term = total = s
-        for k in range(2, 25):
-            term = term * s / k
-            total = total + term / k
-        return 0.5772156649015329 + log(abs(s)) + total
-    b = -s + 1.0
-    c, d = math.inf, 1.0 / b
-    h = d
-    for i in range(1, 65):
-        b = b + 2.0
-        d = 1.0 / (b - i * i * d)
-        c = b - i * i / c
-        h = h * (c * d)
-    return -h * x
+    if not 2.0 <= x < math.inf:
+        raise ValueError(f"li needs finite x >= 2, got {x}")
+    return li2 if x == 2.0 else li2 + quad(2.0, x)

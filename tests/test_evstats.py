@@ -147,6 +147,15 @@ class TestGevFit:
         with pytest.raises(ValueError):
             fit_gev(list(range(49)))
 
+    @pytest.mark.parametrize("xi", [0.0, 0.2])
+    def test_nonpositive_scale_penalty_steers_back(self, xi):
+        # a finite penalty above any admissible NLL, growing with |sigma|
+        u = gumbel_samples(np.random.default_rng(5), 200, 1.0, 0.0)
+        admissible = evstats._gev_nll(np.array([1.0, 0.0, xi]), u)
+        penalties = [evstats._gev_nll(np.array([s, 0.0, xi]), u) for s in (0.0, -0.5, -3.0)]
+        assert all(math.isfinite(p) for p in penalties)
+        assert admissible < penalties[0] < penalties[1] < penalties[2]
+
 
 _SAMPLERS = {
     "gumbel": lambda rng, n: gumbel_samples(rng, n, 1.0, 0.0),

@@ -3,9 +3,11 @@ and the exception it must raise. The rows ending in "-d_inadmissible" give
 a gap size that returns 0 without work, to show that every check runs
 before that shortcut.
 
-Three rules have one owner each: the modulus rule (sieve.check_modulus),
-the bound rule (sieve.check_bound) and the gap-size rule
-(numutil.check_gap). test_rule_has_one_owner calls every caller of each
+Each rule has one owner: the modulus rule (sieve.check_modulus), the bound
+rule (sieve.check_bound), the residue rule (ResidueClass) and the gap-size
+rule (numutil.check_gap), whose integer half every caller but
+predict_first_occurrence applies. Moduli, bounds, residues and those gap
+sizes must be integers. test_rule_has_one_owner calls every caller of each
 rule and checks that it refuses with the owner's own message."""
 
 import math
@@ -70,6 +72,8 @@ CHECKS = [
     ("tau-d0", lambda: gapscan.tau(C6, 0, 100), ValueError),
     ("tau-x0-d_inadmissible", lambda: gapscan.tau(C6, 9, 0), ValueError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), ValueError),
+    ("interval_record_table-q_float", lambda: gapscan.interval_record_table(6.0, 1),
+     ValueError),
     # phi(q) = 999999999988 classes, refused before the coprime list is built
     ("interval_record_table-too_many_classes",
      lambda: gapscan.interval_record_table(999999999989, 1), ValueError),
@@ -111,15 +115,17 @@ def test_bad_input_raises(call, exc):
 # Each rule: its owner, the values it refuses, a value it accepts, and every
 # caller of the owner, as a call of the one argument the rule checks.
 RULES = {
-    "modulus": (sieve.check_modulus, (1, MAX_MODULUS + 1), MAX_MODULUS, {
+    "modulus": (sieve.check_modulus, (1, MAX_MODULUS + 1, 6.0), MAX_MODULUS, {
         "ResidueClass": lambda q: ResidueClass(q, 1),
         "default_params": trend.default_params,
         "_points": lambda q: trend.avg_gap(q, 10),
         "predict_first_occurrence": lambda q: trend.predict_first_occurrence(6, q),
         "brun_estimate": lambda q: brun.brun_estimate(2, q),
         "first_occurrence_log_exact": lambda q: brun.first_occurrence_log_exact(6, q),
+        "scan_many": lambda q: gapscan.scan_many(q, [1], 100),
     }),
-    "bound": (sieve.check_bound, (0, -5), 1, {
+    # 100.5 is brun_growth's largest checkpoint, which it checks as well
+    "bound": (sieve.check_bound, (0, -5, 100.5), 1, {
         "scan_many": lambda x: gapscan.scan_many(6, [1], x),
         "gap_size_counts": lambda x: gapscan.gap_size_counts(C6, x),
         "tau": lambda x: gapscan.tau(C6, 6, x),
@@ -135,6 +141,19 @@ RULES = {
         "tau_estimate": lambda d: brun.tau_estimate(d, C6, 1e4),
         "first_occurrence_log_exact": lambda d: brun.first_occurrence_log_exact(d, 6),
         "predict_first_occurrence": lambda d: trend.predict_first_occurrence(d, 6),
+    }),
+    "residue": (lambda r: ResidueClass(6, r), (0, 6, 2, 1.5), 5, {
+        "ResidueClass": lambda r: ResidueClass(6, r),
+        "scan_many": lambda r: gapscan.scan_many(6, [r], 100),
+    }),
+    # every gap caller but predict_first_occurrence, which takes a real d
+    "integer_gap": (numutil.check_gap, (6.5,), 6, {
+        "tau": lambda d: gapscan.tau(C6, d, 100),
+        "singular_product": brun.singular_product,
+        "brun_growth": lambda d: brun.brun_growth(d, C6, [100]),
+        "brun_estimate": lambda d: brun.brun_estimate(d, 6),
+        "tau_estimate": lambda d: brun.tau_estimate(d, C6, 1e4),
+        "first_occurrence_log_exact": lambda d: brun.first_occurrence_log_exact(d, 6),
     }),
 }
 CALLERS = [(rule, name, call) for rule, (*_, calls) in RULES.items()
@@ -153,6 +172,12 @@ def test_rule_has_one_owner(rule, call):
             owner(value)
         assert str(got.value) == str(want.value)
     call(accepted)
+
+
+def test_predict_first_occurrence_takes_a_real_gap():
+    # probe passes the trend value T0 as d
+    assert trend.predict_first_occurrence(6.5, 6) == math.exp(0.5 * math.log(6.5)
+                                                              + math.sqrt(6.5 / 2))
 
 
 def test_first_occurrence_bound_violation_is_reported():
