@@ -3,7 +3,9 @@
 The package scans residue classes r mod q for maximal and first-occurrence
 prime gaps, rescales them against trend curves, fits extreme-value
 distributions to the result, and evaluates the singular-series constants
-and Brun-type sums that calibrate the heuristics.
+and Brun-type sums that calibrate the heuristics. An argument that a rule
+of the library refuses raises InputError, a ValueError; a computation that
+fails raises a plain ValueError or ArithmeticError.
 """
 
 from .brun import (
@@ -39,7 +41,7 @@ from .gapscan import (
     tau,
 )
 from .numutil import log_integral, log_integral_many, totient, twin_prime_constant
-from .sieve import ResidueClass, iter_prime_segments
+from .sieve import InputError, ResidueClass, iter_prime_segments
 from .trend import (
     TrendParams,
     avg_gap,
@@ -63,6 +65,7 @@ __all__ = [
     "GevFit",
     "GumbelFit",
     "Histogram",
+    "InputError",
     "ResidueClass",
     "ScanResult",
     "SingularMean",

@@ -9,6 +9,7 @@ Pi2^{-1}, which this module computes both symbolically and empirically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -18,7 +19,7 @@ from . import sieve as sievemod
 from .gapscan import _class_pairs
 from .numutil import (PI2_INV, _prime_factors, check_gap, gap_admissible, lcm2, log_integral,
                       totient)
-from .sieve import ResidueClass, check_bound, check_modulus
+from .sieve import InputError, ResidueClass, check_bound, check_modulus
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,8 +61,8 @@ def mean_singular_product(q: int, r: int) -> SingularMean:
     """
     from fractions import Fraction  # only here: scan, fit and brun never load it
 
-    if q < 1 or not 0 <= r < q:
-        raise ValueError("need q >= 1 and 0 <= r < q")
+    if not (_integers(q, r) and q >= 1 and 0 <= r < q):
+        raise InputError("need integers q >= 1 and 0 <= r < q")
     mult = Fraction(1)
     for p in _prime_factors(q):
         if p == 2:
@@ -72,6 +73,10 @@ def mean_singular_product(q: int, r: int) -> SingularMean:
             mult *= Fraction(p * (p - 2), (p - 1) ** 2)
     return SingularMean(q=q, r=r, multiplier=mult,
                         value=float(mult) * PI2_INV)
+
+
+def _integers(*values) -> bool:
+    return all(isinstance(v, numbers.Integral) for v in values)
 
 
 def _progression_hits(q: int, r: int, m: int) -> Optional[tuple[int, int]]:
@@ -94,10 +99,11 @@ def empirical_singular_mean(q: int, r: int, n_max: int) -> float:
 
     Marks smallest-odd-prime factors with strided slices (no per-term
     factorization); whatever survives division by all primes <= sqrt(top) is
-    itself prime and contributes its own factor.
+    1 or itself prime, and an odd prime contributes its own factor. The
+    leftover 2 is a term 2 when top < 4, where 2 is no base prime.
     """
-    if q < 1 or r < 0 or n_max < 1:
-        raise ValueError("need q >= 1, r >= 0, n_max >= 1")
+    if not (_integers(q, r, n_max) and q >= 1 and r >= 0 and n_max >= 1):
+        raise InputError("need integers q >= 1, r >= 0, n_max >= 1")
     top = r + n_max * q
     if top >= 1 << 63:
         raise OverflowError("progression exceeds 64-bit range")
@@ -119,9 +125,9 @@ def empirical_singular_mean(q: int, r: int, n_max: int) -> float:
             rem[sl] //= p
             pk *= p
             k += 1
-    big = rem > 1
+    big = rem > 2
     if big.any():
-        rp = rem[big].astype(np.float64)  # leftover cofactors are odd primes > sqrt(top)
+        rp = rem[big].astype(np.float64)  # odd primes > sqrt(top)
         s[big] *= (rp - 1.0) / (rp - 2.0)
     return float(s.mean())
 
@@ -147,7 +153,7 @@ def brun_growth(
     check_gap(d)
     xs = sorted(set(x_values))
     if not xs:
-        raise ValueError("need at least one checkpoint")
+        raise InputError("need at least one checkpoint")
     for x in xs:
         check_bound(x)
     marks: list[tuple[float, int]] = []  # (partial sum, pair count) per checkpoint
@@ -198,7 +204,7 @@ def brun_estimate(d: int, q: int, x: Optional[float] = None, *,
     check_modulus(q)
     phi = totient(q)
     if x is not None and not x > 1.0:  # NaN too
-        raise ValueError("x must exceed 1")
+        raise InputError("x must exceed 1")
     if not gap_admissible(d, q):
         return 0.0
     if full_product:
@@ -218,8 +224,8 @@ def tau_estimate(d: int, cls: ResidueClass, x: float, *, exact_pi: bool = False,
     returns 0: the estimate counts recurring gaps only.
     """
     check_gap(d)
-    if x < 1000:
-        raise ValueError("estimate needs x >= 1000")
+    if not x >= 1000:  # NaN too
+        raise InputError("estimate needs x >= 1000")
     q = cls.q
     if not gap_admissible(d, q):
         return 0.0

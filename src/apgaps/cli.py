@@ -2,11 +2,14 @@
 
 Each subcommand accepts only the options its cmd_x(args) reads and checks them
 before any work; argparse parses --budget, and main checks every integer
-option against its range in _RANGES before the subcommand runs. scan and
-brun sieve to --x-max, fit to the top of --window and counts to
-floor(e^(j-max + 1)); each bound is checked before sieving, first against
-the sieve's 2^63 - 1 ceiling and then against --budget. Exit codes: 0
-success, 2 invalid input, 3 sieve budget exceeded, 4 computation error. The
+option against its range in _RANGES before the subcommand runs. The rules
+that the library owns (moduli, residues, gap sizes, the probe's x) are not
+restated here: the library raises sieve.InputError before any sieving, and
+UsageError, the CLI's own bad input, is one too. scan and brun sieve to
+--x-max, fit to the top of --window and counts to floor(e^(j-max + 1));
+each bound is checked before sieving, first against the sieve's 2^63 - 1
+ceiling and then against --budget. Exit codes: 0 success, 2 invalid input
+(any InputError), 3 sieve budget exceeded, 4 computation error. The
 same arguments give byte-identical files whatever --threads is. JSON
 numbers use Python float repr (shortest round trip); CSV floats carry 10
 digits.
@@ -28,7 +31,7 @@ import numpy as np
 from . import brun, evstats, gapscan, trend
 from .gapscan import MAX_CLASSES
 from .numutil import totient
-from .sieve import MAX_MODULUS, MAX_SIEVE_BOUND, ResidueClass
+from .sieve import MAX_MODULUS, MAX_SIEVE_BOUND, InputError, ResidueClass
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -47,7 +50,7 @@ _RANGES = {"q": (2, MAX_MODULUS), "d": (1, math.inf), "j_max": (1, math.inf),
            "bins": (1, MAX_ROWS), "points": (0, MAX_ROWS), "empirical_n": (1, MAX_EMPIRICAL_N)}
 
 
-class UsageError(argparse.ArgumentTypeError):
+class UsageError(InputError, argparse.ArgumentTypeError):
     """Invalid command input (exit code 2), also as the type error of --budget."""
 
 
@@ -67,25 +70,19 @@ def _parse_x(text: str) -> int:
     return int(val)
 
 
-def _parse_finite(text: str) -> float:
-    """A finite float; nan and inf are bad input."""
+def _parse_number(text: str) -> float:
+    """A float, nan and inf included."""
     try:
-        val = float(text)
+        return float(text)
     except ValueError as exc:
         raise UsageError(f"bad number {text!r}") from exc
+
+
+def _parse_finite(text: str) -> float:
+    """A finite float; nan and inf are bad input."""
+    val = _parse_number(text)
     if not math.isfinite(val):
         raise UsageError(f"need a finite number, got {text!r}")
-    return val
-
-
-def _parse_probe_x(text: str) -> float:
-    """A probe point: finite and above 2, where the baseline trend lives."""
-    try:
-        val = _parse_finite(text)
-    except UsageError:
-        val = math.nan  # refused below, with the probe's own message
-    if not val > 2:
-        raise UsageError(f"probe needs finite x > 2, got {text!r}")
     return val
 
 
@@ -122,13 +119,6 @@ def _residues(text: str, q: int) -> list[int]:
     if not out:
         raise UsageError("no residues given")
     return sorted(out)
-
-
-def _classes(q: int, rs: list[int]) -> list[ResidueClass]:
-    try:
-        return [ResidueClass(q, r) for r in rs]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _trend_params(args: argparse.Namespace) -> trend.TrendParams:
@@ -201,7 +191,7 @@ def _check_budget(args: argparse.Namespace, bound: int) -> None:
 def cmd_scan(args: argparse.Namespace) -> int:
     rs = _residues(args.r, args.q)
     x_max = _parse_x(args.x_max)
-    classes = _classes(args.q, rs)
+    classes = [ResidueClass(args.q, r) for r in rs]
     params = _trend_params(args)
     _check_budget(args, x_max)
     results = gapscan.scan_many(args.q, rs, x_max, threads=args.threads)
@@ -272,7 +262,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         u = _load_samples_csv(args.samples_csv)
         maximal_u = None
     else:
-        _classes(args.q, rs)  # refuses an r not coprime to q
+        for r in rs:  # refuses an r not coprime to q before the budget check
+            ResidueClass(args.q, r)
         _check_budget(args, window_hi)
         results = gapscan.scan_many(args.q, rs, window_hi, threads=args.threads)
         # merged in residue order (rs ascends), each class's events by end prime
@@ -322,7 +313,6 @@ def cmd_counts(args: argparse.Namespace) -> int:
         x_needed = math.floor(math.exp(args.j_max + 1))
     except OverflowError:  # past float range, so past the sieve ceiling
         raise UsageError(f"j-max {args.j_max} needs a bound above the sieve ceiling 2^63 - 1")
-    _check_classes(totient(args.q))  # every class coprime to q
     _check_budget(args, x_needed)
     table = gapscan.interval_record_table(args.q, args.j_max, threads=args.threads)
     out = _outdir(args)
@@ -349,7 +339,7 @@ def cmd_brun(args: argparse.Namespace) -> int:
     if x_max < 2:  # no pair ends below 2, and the estimate needs x > 1
         raise UsageError("brun needs x-max >= 2")
     q, r, d = args.q, rs[0], args.d
-    (cls,) = _classes(q, rs)
+    cls = ResidueClass(q, r)
     _check_budget(args, x_max)
     lo = min(max(100, d + 1), x_max)
     # float rounding can carry a point above 2^53 past x_max: clamp it back
@@ -377,8 +367,6 @@ def cmd_brun(args: argparse.Namespace) -> int:
 
 def cmd_meanprod(args: argparse.Namespace) -> int:
     q, r, n_emp = args.q, args.r, args.empirical_n
-    if not 0 <= r < q:
-        raise UsageError("meanprod needs 0 <= r < q")
     sm = brun.mean_singular_product(q, r)
     payload = {
         "q": q,
@@ -406,7 +394,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    xs = [_parse_probe_x(s) for s in args.x.split(",") if s.strip()]
+    xs = [_parse_number(s) for s in args.x.split(",") if s.strip()]
     if not xs:
         raise UsageError("probe needs at least one x")
     ratios = trend.inverse_limit_probe(args.q, xs)
@@ -500,7 +488,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise UsageError(f"{name.replace('_', '-')} must be at least {lo}"
                                  + (f" and at most {hi}" if hi < math.inf else ""))
         return args.func(args)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except BudgetExceededError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import sieve
 from .numutil import check_gap, gap_admissible, totient
-from .sieve import ResidueClass
+from .sieve import InputError, ResidueClass
 
 # The most residue classes of one run: a scan holds about 460 bytes per class
 # and writes one file per class.
@@ -161,7 +161,7 @@ def scan_many(
     rs = sorted(set(r_values))
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
     if not rs:
-        raise ValueError("no residue classes to scan")
+        raise InputError("no residue classes to scan")
     sieve.check_bound(x_max)
     phi = totient(q)
     k = len(rs)
@@ -254,10 +254,10 @@ def interval_record_table(
     classes are refused before any list is built.
     """
     if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+        raise InputError("j_max must be >= 1")
     sieve.check_modulus(q)
     if totient(q) > MAX_CLASSES:
-        raise ValueError(f"too many residue classes ({totient(q)}), the cap is {MAX_CLASSES}")
+        raise InputError(f"too many residue classes ({totient(q)}), the cap is {MAX_CLASSES}")
     x_needed = math.floor(math.exp(j_max + 1))
     rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
     events = [ev for res in scan_many(q, rs, x_needed, threads=threads).values()

@@ -2,12 +2,12 @@
 li(x) on [2, inf), twin prime constant.
 
 Everything else in the package leans on these; the only intra-package
-imports are ``sieve.base_primes`` and ``sieve.MAX_MODULUS``, and sieve
-imports nothing from the package. This module owns the library's two rules
-for gap sizes: ``check_gap`` (an integer d >= 1, or with integer=False any
-real d >= 1; NaN refused) for every public function that takes a gap size
-d, and ``gap_admissible`` for the sizes a class can have. li is evaluated
-only where every pipeline reads it, at finite x >= 2.
+imports are from ``sieve``, which imports nothing from the package. This
+module owns the library's two rules for gap sizes: ``check_gap`` (an
+integer d >= 1, or with integer=False any real d >= 1; NaN refused) for
+every public function that takes a gap size d, and ``gap_admissible`` for
+the sizes a class can have. li is evaluated only where every pipeline reads
+it, at finite x >= 2. Each argument check raises ``sieve.InputError``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .sieve import MAX_MODULUS, base_primes
+from .sieve import MAX_MODULUS, InputError, base_primes, check_modulus
 
 # li(2): the logarithmic integral carries its principal-value singularity at
 # t = 1 inside this constant, so quadrature never has to straddle it.
@@ -52,8 +52,7 @@ def totient(q: int) -> int:
     """Euler's phi: q times (1 - 1/p) over the primes p dividing q.
 
     Cached, so a run that asks again for the same q factors it once."""
-    if not 1 <= q <= MAX_MODULUS:
-        raise ValueError(f"totient needs 1 <= q <= {MAX_MODULUS}")
+    check_modulus(q, lo=1)
     result = q
     for p in _prime_factors(q):
         result -= result // p
@@ -62,8 +61,7 @@ def totient(q: int) -> int:
 
 def lcm2(q: int) -> int:
     """lcm(2, q): the common step of gap sizes in a residue class mod q."""
-    if not 1 <= q <= MAX_MODULUS:
-        raise ValueError(f"lcm2 needs 1 <= q <= {MAX_MODULUS}")
+    check_modulus(q, lo=1)
     return q if q % 2 == 0 else 2 * q
 
 
@@ -74,9 +72,9 @@ def check_gap(d: float, *, integer: bool = True) -> None:
     calls at a trend value T0.
     """
     if not d >= 1:
-        raise ValueError(f"gap size d must be at least 1, got {d}")
+        raise InputError(f"gap size d must be at least 1, got {d}")
     if integer and not isinstance(d, numbers.Integral):
-        raise ValueError(f"gap size d must be an integer, got {d}")
+        raise InputError(f"gap size d must be an integer, got {d}")
 
 
 def gap_admissible(d: int, q: int, r: int = 0) -> bool:
@@ -183,11 +181,11 @@ def log_integral_many(xs) -> np.ndarray:
     on one element. li(2) is LI_AT_2; above 2 the quadrature runs in chunks
     of at most _CHUNK_NODES nodes through one reused buffer, so its nodes
     take 256 KB whatever the batch size (more only for a row that alone
-    needs more). Any other point (below 2, NaN or infinite) raises ValueError.
+    needs more). Any other point (below 2, NaN or infinite) raises InputError.
     """
     x = np.asarray(xs, dtype=np.float64).reshape(-1)
     if not ((x >= 2.0) & (x < math.inf)).all():  # NaN fails both
-        raise ValueError("log_integral needs finite x >= 2")
+        raise InputError("log_integral needs finite x >= 2")
     out = np.full(x.size, LI_AT_2)
     above = x > 2.0
     out[above] = LI_AT_2 + _adaptive_inv_log(np.full(above.sum(), 2.0), x[above])
@@ -212,6 +210,6 @@ def twin_prime_constant(prime_cutoff: int) -> float:
     Strictly decreasing in the cutoff; approaches 0.66016... from above.
     """
     if prime_cutoff < 3:
-        raise ValueError("cutoff must admit at least the prime 3")
+        raise InputError("cutoff must admit at least the prime 3")
     p = base_primes(prime_cutoff)[1:].astype(np.float64)  # drop p = 2
     return float(np.prod(p * (p - 2.0) / (p - 1.0) ** 2))

@@ -5,7 +5,10 @@ of the library: the modulus rule, an integer 2 <= q <= MAX_MODULUS
 (``check_modulus``, applied by ``ResidueClass`` and by every function taking
 a bare q), the bound rule, an integer x >= 1 (``check_bound``, for every
 sieve bound from 1 up to x), and the residue rule, an integer 1 <= r < q
-coprime to q (``ResidueClass``). Integers are Python's or numpy's.
+coprime to q (``ResidueClass``). Integers are Python's or numpy's. Every
+argument check at the entry of a public function in the package raises
+``InputError``, a ValueError, so a caller can tell bad input apart from a
+computation that failed (a plain ValueError or ArithmeticError).
 
 Each segment is sieved on a mod-6 wheel: only the numbers 6k + 1 and 6k + 5
 have an entry. The mask spans whole 6-blocks, from the one holding lo to
@@ -75,16 +78,22 @@ DEFAULT_SEGMENT_LENGTH = 1 << 21
 MAX_MODULUS = 10**12  # largest q: trial division takes about 0.1 s on a prime this big
 
 
-def check_modulus(q: int) -> None:
-    """The modulus rule of the library: an integer 2 <= q <= MAX_MODULUS."""
-    if not (isinstance(q, numbers.Integral) and 2 <= q <= MAX_MODULUS):
-        raise ValueError(f"modulus q must be an integer with 2 <= q <= {MAX_MODULUS}, got {q}")
+class InputError(ValueError):
+    """An argument that a rule of the library refuses, raised before any work."""
+
+
+def check_modulus(q: int, lo: int = 2) -> None:
+    """The modulus rule of the library: an integer lo <= q <= MAX_MODULUS.
+
+    lo is 2 but for numutil.totient and numutil.lcm2, which also take q = 1."""
+    if not (isinstance(q, numbers.Integral) and lo <= q <= MAX_MODULUS):
+        raise InputError(f"modulus q must be an integer with {lo} <= q <= {MAX_MODULUS}, got {q}")
 
 
 def check_bound(x: int) -> None:
     """The bound rule of the library: an integer x >= 1, so [1, x] holds a number."""
     if not (isinstance(x, numbers.Integral) and x >= 1):
-        raise ValueError(f"bound x must be an integer of at least 1, got {x}")
+        raise InputError(f"bound x must be an integer of at least 1, got {x}")
 
 
 def _wheel_pattern(group: tuple[int, ...]) -> np.ndarray:
@@ -129,9 +138,9 @@ class ResidueClass:
     def __post_init__(self) -> None:
         check_modulus(self.q)
         if not (isinstance(self.r, numbers.Integral) and 1 <= self.r < self.q):
-            raise ValueError(f"residue r must be an integer with 1 <= r < q, got {self.r}")
+            raise InputError(f"residue r must be an integer with 1 <= r < q, got {self.r}")
         if math.gcd(self.q, self.r) != 1:
-            raise ValueError(f"gcd({self.q}, {self.r}) != 1: class holds at most one prime")
+            raise InputError(f"gcd({self.q}, {self.r}) != 1: class holds at most one prime")
 
     def __str__(self) -> str:  # compact form for messages and file names
         return f"{self.r} mod {self.q}"
@@ -194,7 +203,7 @@ def base_primes(limit: int) -> np.ndarray:
 
 def _check_range(lo: int, hi: int) -> None:
     if lo < 1 or hi < lo:
-        raise ValueError("need 1 <= lo <= hi")
+        raise InputError("need 1 <= lo <= hi")
     if hi > MAX_SIEVE_BOUND:
         raise OverflowError("sieve bound exceeds 2^63 - 1")
 

@@ -6,9 +6,10 @@ T0(q, x) = a log(li(x) / a), with additive corrections for maximal gaps
 (positive, decaying like 1/(log log x)^b2) and first occurrences
 (c0 - c1 log log x times a, changing sign as x grows). Every public trend
 function reads x, li(x) and a(q, x) from one private evaluator, _points,
-which checks q (sieve.check_modulus) and x > 2 once and takes li for all
-of its points from one numutil.log_integral_many call; _baseline and _fo
-hold the two formulas. A point gives the same bits in a batch as alone.
+which checks q (sieve.check_modulus) and finite x > 2 once and takes li for
+all of its points from one numutil.log_integral_many call; _baseline and
+_fo hold the two formulas. A point gives the same bits in a batch as alone.
+Argument checks raise sieve.InputError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numutil import _prime_factors, check_gap, lcm2, log_integral_many, totient
-from .sieve import ResidueClass, check_modulus
+from .sieve import InputError, ResidueClass, check_modulus
 
 E = math.e
 
@@ -36,11 +37,11 @@ class TrendParams:
 
     def __post_init__(self) -> None:
         if self.b1 < 0:
-            raise ValueError("b1 must be nonnegative")
+            raise InputError("b1 must be nonnegative")
         if self.b2 <= 0:
-            raise ValueError("b2 must be positive")
+            raise InputError("b2 must be positive")
         if self.source not in ("default_formula", "user_supplied", "fitted"):
-            raise ValueError(f"unknown parameter source {self.source!r}")
+            raise InputError(f"unknown parameter source {self.source!r}")
 
 
 def default_params(q: int) -> TrendParams:
@@ -73,8 +74,8 @@ def _points(q: int, xs: Sequence[float]) -> list[tuple[float, float, float]]:
     batch costs one numutil.log_integral_many pass and one division per point.
     """
     check_modulus(q)
-    if not all(x > 2 for x in xs):
-        raise ValueError("the trends need x > 2")
+    if bad := [x for x in xs if not 2 < x < math.inf]:  # NaN fails both
+        raise InputError(f"the trends need x > 2 and finite, got {bad[0]}")
     phi = totient(q)
     out = []
     for x, li_x in zip(xs, log_integral_many(xs).tolist()):
@@ -93,7 +94,7 @@ def _baseline(q: int, x: float, li_x: float, a: float) -> float:
 
 def _fo(q: int, x: float, li_x: float, a: float, params: TrendParams) -> float:
     if not x > E:
-        raise ValueError("fo_trend needs x > e")
+        raise InputError("fo_trend needs x > e")
     return _baseline(q, x, li_x, a) + (params.c0 - params.c1 * math.log(math.log(x))) * a
 
 
@@ -110,7 +111,7 @@ def baseline_trend(q: int, x: float) -> float:
 def maximal_trend(q: int, x: float, params: Optional[TrendParams] = None) -> float:
     """Trend of maximal gaps: T0 plus b1 log(phi) / (log log x)^b2 times a."""
     if not x > E:
-        raise ValueError("maximal_trend needs x > e")
+        raise InputError("maximal_trend needs x > e")
     params = params or default_params(q)
     x, li_x, a = _points(q, [x])[0]
     correction = params.b1 * math.log(totient(q)) / math.log(math.log(x)) ** params.b2
@@ -138,7 +139,7 @@ def rescale_many(q: int, end_primes: Sequence[int], sizes: Sequence[int],
     Entry i is bit-identical to rescale on that event alone.
     """
     if len(end_primes) != len(sizes):
-        raise ValueError("need one size per end prime")
+        raise InputError("need one size per end prime")
     params = params or default_params(q)
     return np.array([(d - _fo(q, x, li_x, a, params)) / a
                      for (x, li_x, a), d in zip(_points(q, end_primes), sizes)],

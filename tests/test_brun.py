@@ -84,8 +84,8 @@ class TestEmpiricalSingularMean:
         assert empirical_singular_mean(3, 0, 1) == 2.0  # S(3) alone
 
     def test_small_n_matches_direct_sum(self):
-        for q, r in ((6, 1), (15, 4), (4, 0)):
-            n = 500
+        # the last three end below 4, where 2 is no base prime of the factor sieve
+        for q, r, n in ((6, 1, 500), (15, 4, 500), (4, 0, 500), (2, 0, 1), (1, 1, 2), (1, 0, 3)):
             direct = sum(singular_product_direct(r + k * q) for k in range(1, n + 1)) / n
             assert empirical_singular_mean(q, r, n) == pytest.approx(direct, rel=1e-12)
 

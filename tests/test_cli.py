@@ -337,6 +337,25 @@ class TestSmallCommands:
         assert rc == EXIT_COMPUTE
         assert captured.out == "" and "computation error" in captured.err
 
+    def test_meanprod_empirical_below_4(self, capsys):
+        # the one term 2: S(2) = 1, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("meanprod", "--q", "2", "--r", "0", "--empirical-n", "1") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["empirical_mean"] == 1.0
+
+    @pytest.mark.parametrize("exc,code", [(apgaps.InputError, EXIT_BAD_INPUT),
+                                          (ValueError, EXIT_COMPUTE)])
+    def test_library_error_exit_code(self, exc, code, monkeypatch, capsys):
+        # InputError from the library is bad input; a plain ValueError is a failed computation
+        def fail(*args):
+            raise exc("refused")
+
+        monkeypatch.setattr(trend, "predict_first_occurrence", fail)
+        assert run("predict", "--q", "2", "--d", "5") == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "refused" in captured.err
+
     def test_meanprod_bad_r(self):
         assert run("meanprod", "--q", "10", "--r", "10") == EXIT_BAD_INPUT
 
@@ -631,9 +650,9 @@ class TestImports:
     def test_public_names(self):
         assert sorted(apgaps.__all__) == [
             "BrunSum", "BudgetExceededError", "FitConvergenceError", "GapEvent", "GevFit",
-            "GumbelFit", "Histogram", "ResidueClass", "ScanResult", "SingularMean",
-            "TrendParams", "avg_gap", "baseline_trend", "brun_estimate", "brun_growth",
-            "brun_partial_sum", "build_histogram", "default_params",
+            "GumbelFit", "Histogram", "InputError", "ResidueClass", "ScanResult",
+            "SingularMean", "TrendParams", "avg_gap", "baseline_trend", "brun_estimate",
+            "brun_growth", "brun_partial_sum", "build_histogram", "default_params",
             "empirical_singular_mean", "fit_gev", "fit_gumbel", "fo_trend",
             "gap_size_counts", "gumbel_cdf", "interval_record_table",
             "inverse_limit_probe", "iter_prime_segments", "ks_statistic", "log_integral",

@@ -198,6 +198,7 @@ EXITS = [
     ("predict --q 1000000000000 --d 1", 0, False),
     ("counts --q 6 --j-max 1", 0, False),
     ("meanprod --q 3 --r 1 --empirical-n 1", 0, False),
+    ("meanprod --q 2 --r 0 --empirical-n 1", 0, False),  # was 4: S(2) taken as inf
     ("fit --q 2 --samples-csv u.csv --bins 1", 0, False),
     ("brun --q 2 --r 1 --d 1 --x-max 100", 0, False),
     # no gap of size 2 mod 4, but the budget is checked before that

@@ -1,7 +1,10 @@
 """Library input checks: each row is a call with one argument out of range
 and the exception it must raise. The rows ending in "-d_inadmissible" give
 a gap size that returns 0 without work, to show that every check runs
-before that shortcut.
+before that shortcut. An argument check raises InputError, a ValueError;
+a computed value that fails (an overflow, a degenerate sample) raises
+something else, and so do the sample checks of evstats, whose samples are
+often computed values.
 
 Each rule has one owner: the modulus rule (sieve.check_modulus), the bound
 rule (sieve.check_bound), the residue rule (ResidueClass) and the gap-size
@@ -15,39 +18,50 @@ import math
 import pytest
 
 from apgaps import brun, evstats, gapscan, numutil, sieve, trend
-from apgaps.sieve import MAX_MODULUS, ResidueClass
+from apgaps.sieve import MAX_MODULUS, InputError, ResidueClass
 
 C6 = ResidueClass(6, 1)
 
 CHECKS = [
     # brun
-    ("singular_product-d0", lambda: brun.singular_product(0), ValueError),
-    ("empirical_singular_mean-q0", lambda: brun.empirical_singular_mean(0, 1, 5), ValueError),
+    ("singular_product-d0", lambda: brun.singular_product(0), InputError),
+    ("empirical_singular_mean-q0", lambda: brun.empirical_singular_mean(0, 1, 5), InputError),
     ("empirical_singular_mean-negative_r", lambda: brun.empirical_singular_mean(6, -1, 5),
-     ValueError),
-    ("empirical_singular_mean-n0", lambda: brun.empirical_singular_mean(6, 1, 0), ValueError),
+     InputError),
+    ("empirical_singular_mean-n0", lambda: brun.empirical_singular_mean(6, 1, 0), InputError),
+    ("empirical_singular_mean-q_float", lambda: brun.empirical_singular_mean(6.0, 1, 5),
+     InputError),
+    ("empirical_singular_mean-r_float", lambda: brun.empirical_singular_mean(6, 1.5, 5),
+     InputError),
+    ("empirical_singular_mean-n_float", lambda: brun.empirical_singular_mean(6, 1, 5.0),
+     InputError),
+    ("mean_singular_product-q0", lambda: brun.mean_singular_product(0, 0), InputError),
+    ("mean_singular_product-r_is_q", lambda: brun.mean_singular_product(10, 10), InputError),
+    ("mean_singular_product-q_float", lambda: brun.mean_singular_product(7.5, 1), InputError),
+    ("mean_singular_product-r_float", lambda: brun.mean_singular_product(30, 3.5), InputError),
     ("empirical_singular_mean-past_int64", lambda: brun.empirical_singular_mean(10**18, 1, 10),
      OverflowError),
-    ("brun_growth-d0", lambda: brun.brun_growth(0, C6, [100]), ValueError),
-    ("brun_growth-no_checkpoints", lambda: brun.brun_growth(6, C6, []), ValueError),
-    ("brun_growth-checkpoint0", lambda: brun.brun_growth(6, C6, [0, 100]), ValueError),
-    ("brun_estimate-d0", lambda: brun.brun_estimate(0, 6), ValueError),
-    ("brun_estimate-q1", lambda: brun.brun_estimate(2, 1), ValueError),
-    ("brun_estimate-x1", lambda: brun.brun_estimate(2, 6, 1.0), ValueError),
-    ("brun_estimate-x1-d_inadmissible", lambda: brun.brun_estimate(3, 6, 1.0), ValueError),
-    ("brun_estimate-x_nan", lambda: brun.brun_estimate(2, 2, math.nan), ValueError),
+    ("brun_growth-d0", lambda: brun.brun_growth(0, C6, [100]), InputError),
+    ("brun_growth-no_checkpoints", lambda: brun.brun_growth(6, C6, []), InputError),
+    ("brun_growth-checkpoint0", lambda: brun.brun_growth(6, C6, [0, 100]), InputError),
+    ("brun_estimate-d0", lambda: brun.brun_estimate(0, 6), InputError),
+    ("brun_estimate-q1", lambda: brun.brun_estimate(2, 1), InputError),
+    ("brun_estimate-x1", lambda: brun.brun_estimate(2, 6, 1.0), InputError),
+    ("brun_estimate-x1-d_inadmissible", lambda: brun.brun_estimate(3, 6, 1.0), InputError),
+    ("brun_estimate-x_nan", lambda: brun.brun_estimate(2, 2, math.nan), InputError),
     ("brun_estimate-q_above_cap-d_inadmissible", lambda: brun.brun_estimate(3, 10**12 + 1),
-     ValueError),
+     InputError),
     ("brun_growth-checkpoint0-d_inadmissible", lambda: brun.brun_growth(9, C6, [0, 100]),
-     ValueError),
-    ("tau_estimate-x100-d_inadmissible", lambda: brun.tau_estimate(9, C6, 100), ValueError),
-    ("tau_estimate-d0", lambda: brun.tau_estimate(0, C6, 1e4), ValueError),
+     InputError),
+    ("tau_estimate-x100-d_inadmissible", lambda: brun.tau_estimate(9, C6, 100), InputError),
+    ("tau_estimate-d0", lambda: brun.tau_estimate(0, C6, 1e4), InputError),
+    ("tau_estimate-x_nan", lambda: brun.tau_estimate(6, C6, math.nan), InputError),
     ("first_occurrence_log_exact-d0", lambda: brun.first_occurrence_log_exact(0, 6),
-     ValueError),
+     InputError),
     ("first_occurrence_log_exact-q1", lambda: brun.first_occurrence_log_exact(6, 1),
-     ValueError),
+     InputError),
     ("first_occurrence_log_exact-q_above_cap",
-     lambda: brun.first_occurrence_log_exact(2, MAX_MODULUS + 1), ValueError),
+     lambda: brun.first_occurrence_log_exact(2, MAX_MODULUS + 1), InputError),
     # evstats
     ("build_histogram-bins0", lambda: evstats.build_histogram([1.0, 2.0], 0), ValueError),
     ("ks_statistic-empty", lambda: evstats.ks_statistic([], lambda x: x), ValueError),
@@ -66,50 +80,62 @@ CHECKS = [
     ("fit_hyperbola-inf_js", lambda: evstats.fit_hyperbola([1.0, math.inf], [0.5, 1.0]),
      ValueError),
     # gapscan
-    ("scan_many-x0", lambda: gapscan.scan_many(6, [1], 0), ValueError),
-    ("scan_many-no_classes", lambda: gapscan.scan_many(6, [], 10**4), ValueError),
-    ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), ValueError),
-    ("tau-d0", lambda: gapscan.tau(C6, 0, 100), ValueError),
-    ("tau-x0-d_inadmissible", lambda: gapscan.tau(C6, 9, 0), ValueError),
-    ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), ValueError),
+    ("scan_many-x0", lambda: gapscan.scan_many(6, [1], 0), InputError),
+    ("scan_many-no_classes", lambda: gapscan.scan_many(6, [], 10**4), InputError),
+    ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), InputError),
+    ("tau-d0", lambda: gapscan.tau(C6, 0, 100), InputError),
+    ("tau-x0-d_inadmissible", lambda: gapscan.tau(C6, 9, 0), InputError),
+    ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), InputError),
     ("interval_record_table-q_float", lambda: gapscan.interval_record_table(6.0, 1),
-     ValueError),
+     InputError),
     # phi(q) = 999999999988 classes, refused before the coprime list is built
     ("interval_record_table-too_many_classes",
-     lambda: gapscan.interval_record_table(999999999989, 1), ValueError),
+     lambda: gapscan.interval_record_table(999999999989, 1), InputError),
     # numutil
-    ("twin_prime_constant-cutoff2", lambda: numutil.twin_prime_constant(2), ValueError),
+    ("twin_prime_constant-cutoff2", lambda: numutil.twin_prime_constant(2), InputError),
+    ("totient-q0", lambda: numutil.totient(0), InputError),
+    ("totient-q_float", lambda: numutil.totient(7.5), InputError),
+    ("lcm2-q_float", lambda: numutil.lcm2(6.5), InputError),
+    ("lcm2-q_above_cap", lambda: numutil.lcm2(MAX_MODULUS + 1), InputError),
+    ("log_integral-x_below_2", lambda: numutil.log_integral(1.5), InputError),
+    ("log_integral_many-x_inf", lambda: numutil.log_integral_many([3.0, math.inf]), InputError),
     # sieve
-    ("ResidueClass-q1", lambda: ResidueClass(1, 0), ValueError),
-    ("ResidueClass-q_2_41", lambda: ResidueClass(2**41, 1), ValueError),
-    ("ResidueClass-q_above_cap", lambda: ResidueClass(MAX_MODULUS + 1, 1), ValueError),
-    ("sieve_interval-lo0", lambda: sieve.sieve_interval(0, 5), ValueError),
-    ("prime_count-x0", lambda: sieve.prime_count(C6, 0), ValueError),
-    ("count_all_primes-x0", lambda: sieve.count_all_primes(0), ValueError),
+    ("ResidueClass-q1", lambda: ResidueClass(1, 0), InputError),
+    ("ResidueClass-q_2_41", lambda: ResidueClass(2**41, 1), InputError),
+    ("ResidueClass-q_above_cap", lambda: ResidueClass(MAX_MODULUS + 1, 1), InputError),
+    ("sieve_interval-lo0", lambda: sieve.sieve_interval(0, 5), InputError),
+    ("sieve_interval-hi_below_lo", lambda: sieve.sieve_interval(7, 5), InputError),
+    ("prime_count-x0", lambda: sieve.prime_count(C6, 0), InputError),
+    ("count_all_primes-x0", lambda: sieve.count_all_primes(0), InputError),
     # trend
     ("TrendParams-source", lambda: trend.TrendParams(b1=4.0, b2=2.7, c0=1.0, c1=1.0,
-                                                     source="x"), ValueError),
-    ("default_params-q1", lambda: trend.default_params(1), ValueError),
-    ("default_params-q_above_cap", lambda: trend.default_params(MAX_MODULUS + 1), ValueError),
-    ("avg_gap-q1", lambda: trend.avg_gap(1, 10), ValueError),
+                                                     source="x"), InputError),
+    ("default_params-q1", lambda: trend.default_params(1), InputError),
+    ("default_params-q_above_cap", lambda: trend.default_params(MAX_MODULUS + 1), InputError),
+    ("avg_gap-q1", lambda: trend.avg_gap(1, 10), InputError),
+    ("avg_gap-x_inf", lambda: trend.avg_gap(6, math.inf), InputError),
+    ("inverse_limit_probe-x2", lambda: trend.inverse_limit_probe(2, [1e6, 2]), InputError),
+    ("inverse_limit_probe-t0_below_1", lambda: trend.inverse_limit_probe(2, [2.5]), ValueError),
     ("baseline_trend-a_overflows", lambda: trend.baseline_trend(211, 1e306), OverflowError),
-    ("fo_trend-x_below_e", lambda: trend.fo_trend(6, 2.5), ValueError),
-    ("fo_trend-q1", lambda: trend.fo_trend(1, 10, trend.default_params(2)), ValueError),
-    ("rescale_many-q1", lambda: trend.rescale_many(1, [11], [2]), ValueError),
-    ("trend_points-q1", lambda: trend.trend_points(1, [11]), ValueError),
-    ("predict_first_occurrence-d0", lambda: trend.predict_first_occurrence(0, 6), ValueError),
-    ("predict_first_occurrence-q1", lambda: trend.predict_first_occurrence(6, 1), ValueError),
+    ("fo_trend-x_below_e", lambda: trend.fo_trend(6, 2.5), InputError),
+    ("fo_trend-q1", lambda: trend.fo_trend(1, 10, trend.default_params(2)), InputError),
+    ("rescale_many-q1", lambda: trend.rescale_many(1, [11], [2]), InputError),
+    ("trend_points-q1", lambda: trend.trend_points(1, [11]), InputError),
+    ("predict_first_occurrence-d0", lambda: trend.predict_first_occurrence(0, 6), InputError),
+    ("predict_first_occurrence-q1", lambda: trend.predict_first_occurrence(6, 1), InputError),
     ("predict_first_occurrence-nan", lambda: trend.predict_first_occurrence(math.nan, 2),
-     ValueError),
+     InputError),
     ("first_occurrence_bounds-nan", lambda: trend.first_occurrence_bounds(math.nan, 2),
-     ValueError),
+     InputError),
 ]
 
 
 @pytest.mark.parametrize("call,exc", [row[1:] for row in CHECKS], ids=[row[0] for row in CHECKS])
 def test_bad_input_raises(call, exc):
-    with pytest.raises(exc):
+    with pytest.raises(exc) as got:
         call()
+    # a row that names a plain ValueError is a failed computation, not bad input
+    assert (got.type is InputError) == (exc is InputError)
 
 
 # Each rule: its owner, the values it refuses, a value it accepts, and every
@@ -166,9 +192,9 @@ def test_rule_has_one_owner(rule, call):
     """Every caller refuses with the owner's own message and passes what it accepts."""
     owner, refused, accepted, _ = RULES[rule]
     for value in refused:
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(InputError) as got:
             call(value)
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(InputError) as want:
             owner(value)
         assert str(got.value) == str(want.value)
     call(accepted)
