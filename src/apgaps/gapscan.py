@@ -1,4 +1,4 @@
-"""Record gap events between primes in a residue class.
+"""Record gap events and gap-size histograms of the primes in residue classes.
 
 A gap event is the pair of consecutive class primes (p, p') bounding a gap
 d = p' - p that is maximal (strictly larger than every earlier gap) or a
@@ -22,6 +22,15 @@ path through the pair stream: no residue array, no sort and no per-class
 arrays, only the class's last prime carried as a scalar. Its primes come
 from the sieve's one class selector, ``sieve._class_select``, which
 ``sieve.prime_count`` counts through too.
+
+``gap_size_counts`` reads the single-class stream into a histogram of every
+gap size. The count of one size d, tau_d(x), is ``brun.tau``: it is the pair
+count of the Brun sum B_d(x) and comes from the same pass.
+
+``check_classes`` is the one class cap, MAX_CLASSES. ``scan_many`` applies it
+to its class list before it builds a ResidueClass or sieves, and
+``interval_record_table`` and the CLI apply it to a count of the classes
+(phi(q), or the length of a range) before they build the list.
 """
 
 from __future__ import annotations
@@ -33,12 +42,22 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import sieve
-from .numutil import check_gap, gap_admissible, totient
+from .numutil import totient
 from .sieve import InputError, ResidueClass
 
 # The most residue classes of one run: a scan holds about 460 bytes per class
 # and writes one file per class.
 MAX_CLASSES = 10**5
+
+
+def check_classes(n: int) -> None:
+    """The class cap of the library: at most MAX_CLASSES classes in one run.
+
+    Callers count the classes before they build a list of them, so a
+    refused run costs no more than the count.
+    """
+    if n > MAX_CLASSES:
+        raise InputError(f"too many residue classes ({n}), the cap is {MAX_CLASSES}")
 
 
 class GapEvent(NamedTuple):
@@ -157,8 +176,13 @@ def scan_many(
     *,
     threads: int = 1,
 ) -> dict[int, ScanResult]:
-    """Scan every requested residue class mod q in a single sieve pass."""
+    """Scan every requested residue class mod q in a single sieve pass.
+
+    More than MAX_CLASSES classes are refused before any ResidueClass is
+    built or any number sieved.
+    """
     rs = sorted(set(r_values))
+    check_classes(len(rs))
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
     if not rs:
         raise InputError("no residue classes to scan")
@@ -226,20 +250,6 @@ def gap_size_counts(cls: ResidueClass, x: int, *, threads: int = 1) -> dict[int,
     return {g * q: c for g, c in enumerate(total.tolist()) if c}
 
 
-def tau(cls: ResidueClass, d: int, x: int, *, threads: int = 1) -> int:
-    """Exact count of gaps of size d with end prime <= x.
-
-    A size that the class cannot have, by numutil.gap_admissible, gives 0
-    with no sieving: gaps are multiples of lcm(2, q), except the one gap
-    from 2 in the class 2 mod q (q odd), an odd multiple of q.
-    """
-    check_gap(d)
-    sieve.check_bound(x)
-    if not gap_admissible(d, cls.q, cls.r):
-        return 0
-    return gap_size_counts(cls, x, threads=threads).get(d, 0)
-
-
 def interval_record_table(
     q: int,
     j_max: int,
@@ -256,8 +266,7 @@ def interval_record_table(
     if j_max < 1:
         raise InputError("j_max must be >= 1")
     sieve.check_modulus(q)
-    if totient(q) > MAX_CLASSES:
-        raise InputError(f"too many residue classes ({totient(q)}), the cap is {MAX_CLASSES}")
+    check_classes(totient(q))
     x_needed = math.floor(math.exp(j_max + 1))
     rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
     events = [ev for res in scan_many(q, rs, x_needed, threads=threads).values()

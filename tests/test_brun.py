@@ -17,9 +17,10 @@ from apgaps.brun import (
     first_occurrence_log_exact,
     mean_singular_product,
     singular_product,
+    tau,
     tau_estimate,
 )
-from apgaps.gapscan import gap_size_counts, tau
+from apgaps.gapscan import gap_size_counts
 from apgaps.numutil import TWIN_PRIME_CONSTANT, lcm2, totient
 from apgaps.sieve import ResidueClass
 

@@ -12,11 +12,13 @@ bound above the sieve's 2^63 - 1 ceiling (exit 4 before; for counts, also a
 j-max whose bound is past float range, exit 3 before), a non-finite --c0 or
 --c1, a brun class with gcd(q, r) > 1, and a fit --bins or brun --points
 above cli.MAX_ROWS (10^6), which used to run out of memory or run the
-whole scan first, and more residue classes than cli.MAX_CLASSES (10^5),
-which used to build the whole list first, and a meanprod --empirical-n
-above cli.MAX_EMPIRICAL_N (10^8), which exited 4 only where numpy could
-not allocate the terms. A predict --d whose d / phi(q) is past float
-range exited 4 and now prints null locations. The unused --seed
+whole scan first, and more residue classes than gapscan.MAX_CLASSES
+(10^5), which used to build the whole list first, and a meanprod
+--empirical-n above cli.MAX_EMPIRICAL_N (10^8), which exited 4 only where
+numpy could not allocate the terms, and a meanprod progression whose top
+r + n q is above brun.MAX_EMPIRICAL_TOP (10^16), which exited 4 past 2^63
+and could run for minutes below it. A predict --d whose d / phi(q) is past
+float range exited 4 and now prints null locations. The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -83,7 +85,7 @@ EXITS = [
     ("brun --q 6 --r 6 --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r x --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r 3 --d 6 --x-max 1000", 2, True),  # was 0
-    # more residue classes than cli.MAX_CLASSES, counted before any list is built
+    # more residue classes than gapscan.MAX_CLASSES, counted before any list is built
     ("scan --q 999999999989 --r all --x-max 1e3", 2, True),  # looped 10^12 times
     ("scan --q 6 --r 1..100000000000 --x-max 1e3", 2, True),  # looped 10^11 times
     ("brun --q 999999999989 --r 1..1000000000 --d 2 --x-max 1e3", 2, True),  # looped 10^9 times
@@ -176,6 +178,9 @@ EXITS = [
     ("meanprod --q 3 --r 1 --empirical-n -5", 2, True),  # was 4
     ("meanprod --q 3 --r 1 --empirical-n 0", 2, True),  # was 0, stdout not empty
     ("meanprod --q 3 --r 1 --empirical-n 100000000000", 2, True),  # was 4: 745 GiB refused
+    # a progression top r + n q above brun.MAX_EMPIRICAL_TOP
+    ("meanprod --q 1000000000000 --r 1 --empirical-n 100000000", 2, True),  # was 4
+    ("meanprod --q 999999999989 --r 1 --empirical-n 100000", 2, True),  # was 0
     # --b1 and --b2, which changed no output, are gone: argparse rejects them
     ("scan --q 6 --r 1 --x-max 100 --b2 0", 2, True),  # was 4, then 2 as a bad b2
     ("fit --q 6 --window 1e3:1e5 --b1 -1", 2, True),  # was 2 as a bad b1

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgaps import brun, cli, gapscan, sieve
+from apgaps.brun import tau
 from apgaps.gapscan import (
     GapEvent,
     ScanResult,
@@ -18,9 +19,8 @@ from apgaps.gapscan import (
     interval_record_table,
     scan,
     scan_many,
-    tau,
 )
-from apgaps.numutil import lcm2, totient
+from apgaps.numutil import gap_admissible, lcm2, totient
 from apgaps.sieve import ResidueClass
 
 from _oracles import naive_events, naive_tau, trial_division_primes_in_class
@@ -367,6 +367,25 @@ class TestTau:
     def test_odd_gap_counted_once(self):
         assert tau(ResidueClass(7, 2), 21, 200) == 1
         assert tau(ResidueClass(3, 2), 3, 100) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(qrs=class_sets(), x=st.integers(1, 30_000), data=st.data())
+    def test_matches_oracle_drawn(self, qrs, x, data):
+        # the Brun pass's pair count over small segments and helper threads;
+        # x may be the end prime of the last pair, which the count includes
+        q, rs = qrs
+        r = data.draw(st.sampled_from(rs), label="r")
+        primes = trial_division_primes_in_class(q, r, x)
+        x = data.draw(st.sampled_from([x] + primes[-1:].tolist()), label="x")
+        gaps = np.diff(primes).tolist()
+        refused = lcm2(q) + 1
+        assert not gap_admissible(refused, q, r)
+        d = data.draw(st.sampled_from(sorted(set(gaps) | {lcm2(q), q, refused})), label="d")
+        seg_len = data.draw(st.integers(2, max(2, x)), label="seg_len")
+        threads = data.draw(st.integers(1, 3), label="threads")
+        with mock.patch.object(sieve, "DEFAULT_SEGMENT_LENGTH", seg_len):
+            got = tau(ResidueClass(q, r), d, x, threads=threads)
+        assert got == naive_tau(q, r, d, x)
 
     def test_counting_consistency(self):
         cls = ResidueClass(6, 5)

@@ -7,20 +7,33 @@ something else, and so do the sample checks of evstats, whose samples are
 often computed values.
 
 Each rule has one owner: the modulus rule (sieve.check_modulus), the bound
-rule (sieve.check_bound), the residue rule (ResidueClass) and the gap-size
-rule (numutil.check_gap), whose integer half every caller but
-predict_first_occurrence applies. Moduli, bounds, residues and those gap
-sizes must be integers. test_rule_has_one_owner calls every caller of each
-rule and checks that it refuses with the owner's own message."""
+rule (sieve.check_bound), the residue rule (ResidueClass), the class cap
+(gapscan.check_classes) and the gap-size rule (numutil.check_gap), whose
+integer half every caller but predict_first_occurrence applies. Moduli,
+bounds, residues and those gap sizes must be integers.
+test_rule_has_one_owner calls every caller of each rule and checks that it
+refuses with the owner's own message."""
 
 import math
+from unittest import mock
 
 import pytest
 
 from apgaps import brun, evstats, gapscan, numutil, sieve, trend
+from apgaps.gapscan import MAX_CLASSES
 from apgaps.sieve import MAX_MODULUS, InputError, ResidueClass
 
 C6 = ResidueClass(6, 1)
+
+
+def _unsieved(call):
+    """call, run with a sieve that fails the test if it is started."""
+    def run():
+        with mock.patch.object(sieve, "iter_prime_segments",
+                               side_effect=AssertionError("the sieve was started")):
+            return call()
+    return run
+
 
 CHECKS = [
     # brun
@@ -40,7 +53,7 @@ CHECKS = [
     ("mean_singular_product-q_float", lambda: brun.mean_singular_product(7.5, 1), InputError),
     ("mean_singular_product-r_float", lambda: brun.mean_singular_product(30, 3.5), InputError),
     ("empirical_singular_mean-past_int64", lambda: brun.empirical_singular_mean(10**18, 1, 10),
-     OverflowError),
+     InputError),
     ("brun_growth-d0", lambda: brun.brun_growth(0, C6, [100]), InputError),
     ("brun_growth-no_checkpoints", lambda: brun.brun_growth(6, C6, []), InputError),
     ("brun_growth-checkpoint0", lambda: brun.brun_growth(6, C6, [0, 100]), InputError),
@@ -55,6 +68,8 @@ CHECKS = [
      InputError),
     ("tau_estimate-x100-d_inadmissible", lambda: brun.tau_estimate(9, C6, 100), InputError),
     ("tau_estimate-d0", lambda: brun.tau_estimate(0, C6, 1e4), InputError),
+    ("tau-d0", lambda: brun.tau(C6, 0, 100), InputError),
+    ("tau-x0-d_inadmissible", lambda: brun.tau(C6, 9, 0), InputError),
     ("tau_estimate-x_nan", lambda: brun.tau_estimate(6, C6, math.nan), InputError),
     ("first_occurrence_log_exact-d0", lambda: brun.first_occurrence_log_exact(0, 6),
      InputError),
@@ -83,8 +98,10 @@ CHECKS = [
     ("scan_many-x0", lambda: gapscan.scan_many(6, [1], 0), InputError),
     ("scan_many-no_classes", lambda: gapscan.scan_many(6, [], 10**4), InputError),
     ("gap_size_counts-x0", lambda: gapscan.gap_size_counts(C6, 0), InputError),
-    ("tau-d0", lambda: gapscan.tau(C6, 0, 100), InputError),
-    ("tau-x0-d_inadmissible", lambda: gapscan.tau(C6, 9, 0), InputError),
+    # 100002 classes of the prime 100003, refused before any is sieved
+    ("scan_many-too_many_classes",
+     _unsieved(lambda: gapscan.scan_many(100003, range(1, 100003), 10)), InputError),
+    ("check_classes-above_cap", lambda: gapscan.check_classes(MAX_CLASSES + 1), InputError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), InputError),
     ("interval_record_table-q_float", lambda: gapscan.interval_record_table(6.0, 1),
      InputError),
@@ -154,13 +171,13 @@ RULES = {
     "bound": (sieve.check_bound, (0, -5, 100.5), 1, {
         "scan_many": lambda x: gapscan.scan_many(6, [1], x),
         "gap_size_counts": lambda x: gapscan.gap_size_counts(C6, x),
-        "tau": lambda x: gapscan.tau(C6, 6, x),
+        "tau": lambda x: brun.tau(C6, 6, x),
         "prime_count": lambda x: sieve.prime_count(C6, x),
         "count_all_primes": sieve.count_all_primes,
         "brun_growth": lambda x: brun.brun_growth(6, C6, [x, 100]),
     }),
     "gap": (numutil.check_gap, (0, -2, math.nan), 6, {
-        "tau": lambda d: gapscan.tau(C6, d, 100),
+        "tau": lambda d: brun.tau(C6, d, 100),
         "singular_product": brun.singular_product,
         "brun_growth": lambda d: brun.brun_growth(d, C6, [100]),
         "brun_estimate": lambda d: brun.brun_estimate(d, 6),
@@ -172,9 +189,13 @@ RULES = {
         "ResidueClass": lambda r: ResidueClass(6, r),
         "scan_many": lambda r: gapscan.scan_many(6, [r], 100),
     }),
+    # n classes of the prime 100003
+    "classes": (gapscan.check_classes, (MAX_CLASSES + 1,), MAX_CLASSES, {
+        "scan_many": lambda n: gapscan.scan_many(100003, range(1, n + 1), 10),
+    }),
     # every gap caller but predict_first_occurrence, which takes a real d
     "integer_gap": (numutil.check_gap, (6.5,), 6, {
-        "tau": lambda d: gapscan.tau(C6, d, 100),
+        "tau": lambda d: brun.tau(C6, d, 100),
         "singular_product": brun.singular_product,
         "brun_growth": lambda d: brun.brun_growth(d, C6, [100]),
         "brun_estimate": lambda d: brun.brun_estimate(d, 6),
