@@ -93,11 +93,11 @@ def _is_all(text: str) -> bool:
 def _residues(text: str, q: int) -> list[int]:
     """'all' / 'all-coprime' (every r coprime to q), or a comma list with a..b ranges.
 
-    More than gapscan.MAX_CLASSES classes, counted before any list is built, are refused."""
+    gapscan.check_classes reads them one at a time, so more than
+    gapscan.MAX_CLASSES distinct classes are refused before they are all read."""
     if _is_all(text):
-        gapscan.check_classes(totient(q))
-        return [r for r in range(1, q) if math.gcd(r, q) == 1]
-    out: set[int] = set()
+        return gapscan.check_classes(r for r in range(1, q) if math.gcd(r, q) == 1)
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -109,11 +109,10 @@ def _residues(text: str, q: int) -> list[int]:
             raise UsageError(f"bad residue {part!r}") from exc
         if lo > hi:
             raise UsageError(f"empty residue range {part!r}")
-        gapscan.check_classes(len(out) + hi - lo + 1)
-        out.update(range(lo, hi + 1))
-    if not out:
+        ranges.append(range(lo, hi + 1))
+    if not ranges:
         raise UsageError("no residues given")
-    return sorted(out)
+    return gapscan.check_classes(r for span in ranges for r in span)
 
 
 def _trend_params(args: argparse.Namespace) -> trend.TrendParams:

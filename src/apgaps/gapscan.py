@@ -27,10 +27,12 @@ from the sieve's one class selector, ``sieve._class_select``, which
 gap size. The count of one size d, tau_d(x), is ``brun.tau``: it is the pair
 count of the Brun sum B_d(x) and comes from the same pass.
 
-``check_classes`` is the one class cap, MAX_CLASSES. ``scan_many`` applies it
-to its class list before it builds a ResidueClass or sieves, and
-``interval_record_table`` and the CLI apply it to a count of the classes
-(phi(q), or the length of a range) before they build the list.
+``check_classes`` is the one class cap, MAX_CLASSES, and the one code that
+counts classes. It reads the residues one at a time and refuses the first
+distinct one past the cap, so a refused run holds at most MAX_CLASSES + 1
+residues however many it names. ``scan_many``, ``interval_record_table`` and
+the CLI take their sorted class lists from it, before any ResidueClass is
+built or any number sieved.
 """
 
 from __future__ import annotations
@@ -50,14 +52,19 @@ from .sieve import InputError, ResidueClass
 MAX_CLASSES = 10**5
 
 
-def check_classes(n: int) -> None:
-    """The class cap of the library: at most MAX_CLASSES classes in one run.
+def check_classes(residues: Iterable[int]) -> list[int]:
+    """The class cap of the library: at most MAX_CLASSES distinct classes in one run.
 
-    Callers count the classes before they build a list of them, so a
-    refused run costs no more than the count.
+    Returns the distinct residues in ascending order. They are read one at a
+    time and the first past the cap is refused at once, so a refused run
+    costs at most MAX_CLASSES + 1 distinct residues, however long the input.
     """
-    if n > MAX_CLASSES:
-        raise InputError(f"too many residue classes ({n}), the cap is {MAX_CLASSES}")
+    seen: set[int] = set()
+    for r in residues:
+        seen.add(r)
+        if len(seen) > MAX_CLASSES:
+            raise InputError(f"too many residue classes, the cap is {MAX_CLASSES}")
+    return sorted(seen)
 
 
 class GapEvent(NamedTuple):
@@ -181,8 +188,7 @@ def scan_many(
     More than MAX_CLASSES classes are refused before any ResidueClass is
     built or any number sieved.
     """
-    rs = sorted(set(r_values))
-    check_classes(len(rs))
+    rs = check_classes(r_values)
     classes = {r: ResidueClass(q, r) for r in rs}  # validates q, r pairs
     if not rs:
         raise InputError("no residue classes to scan")
@@ -261,14 +267,13 @@ def interval_record_table(
     Returns rows (j, mean first-occurrence count, mean maximal count) for
     j = 1..j_max. Records are defined globally (from the start of each class),
     only bucketed by where their end prime lands. More than MAX_CLASSES
-    classes are refused before any list is built.
+    classes are refused as soon as the coprime residues pass the cap.
     """
     if j_max < 1:
         raise InputError("j_max must be >= 1")
     sieve.check_modulus(q)
-    check_classes(totient(q))
+    rs = check_classes(r for r in range(1, q) if math.gcd(r, q) == 1)
     x_needed = math.floor(math.exp(j_max + 1))
-    rs = [r for r in range(1, q) if math.gcd(r, q) == 1]
     events = [ev for res in scan_many(q, rs, x_needed, threads=threads).values()
               for ev in res.events]
     # bucket j covers integers in (floor(e^j), floor(e^{j+1})]; the ends are

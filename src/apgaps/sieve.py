@@ -142,7 +142,7 @@ class ResidueClass:
         if math.gcd(self.q, self.r) != 1:
             raise InputError(f"gcd({self.q}, {self.r}) != 1: class holds at most one prime")
 
-    def __str__(self) -> str:  # compact form for messages and file names
+    def __str__(self) -> str:  # "r mod q", for library callers; the package never prints it
         return f"{self.r} mod {self.q}"
 
 

@@ -18,7 +18,10 @@ whole scan first, and more residue classes than gapscan.MAX_CLASSES
 numpy could not allocate the terms, and a meanprod progression whose top
 r + n q is above brun.MAX_EMPIRICAL_TOP (10^16), which exited 4 past 2^63
 and could run for minutes below it. A predict --d whose d / phi(q) is past
-float range exited 4 and now prints null locations. The unused --seed
+float range exited 4 and now prints null locations. The class cap counts
+distinct residues as they are read, so overlapping --r ranges that name at
+most 10^5 classes between them pass it where they used to be refused as
+the sum of their lengths (exit 2 before). The unused --seed
 option is gone, and the help texts were re-recorded without it; they were
 re-recorded again when scan and fit lost the trend options --b1 and --b2.
 fit sieves exactly to the top of its window, which the two --budget rows of
@@ -85,13 +88,17 @@ EXITS = [
     ("brun --q 6 --r 6 --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r x --d 6 --x-max 100", 2, True),
     ("brun --q 6 --r 3 --d 6 --x-max 1000", 2, True),  # was 0
-    # more residue classes than gapscan.MAX_CLASSES, counted before any list is built
+    # more residue classes than gapscan.MAX_CLASSES, refused as soon as the
+    # distinct residues read pass the cap
     ("scan --q 999999999989 --r all --x-max 1e3", 2, True),  # looped 10^12 times
     ("scan --q 6 --r 1..100000000000 --x-max 1e3", 2, True),  # looped 10^11 times
     ("brun --q 999999999989 --r 1..1000000000 --d 2 --x-max 1e3", 2, True),  # looped 10^9 times
     ("counts --q 999999999989 --j-max 2", 2, True),  # looped 10^12 times
     ("fit --q 999999999989 --samples-csv u.csv", 2, True),  # looped 10^12 times
     ("fit --q 999999999989 --r 1 --samples-csv u.csv", 0, False),
+    # the cap counts distinct residues: 60000 named twice pass it and stop at the budget
+    ("scan --q 100003 --r 1..60000,1..60000 --x-max 1e11", 3, True),  # was 2
+    ("scan --q 100003 --r 1..50000,50001..100001 --x-max 1e11", 2, True),
     ("meanprod --q 10 --r 10", 2, True),
     ("meanprod --q 10 --r -1", 2, True),
     ("meanprod --q 10 --r x", 2, True),

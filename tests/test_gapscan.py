@@ -21,7 +21,7 @@ from apgaps.gapscan import (
     scan_many,
 )
 from apgaps.numutil import gap_admissible, lcm2, totient
-from apgaps.sieve import ResidueClass
+from apgaps.sieve import InputError, ResidueClass
 
 from _oracles import naive_events, naive_tau, trial_division_primes_in_class
 
@@ -448,6 +448,45 @@ class TestIntervalCounts:
         with mock.patch.object(gapscan, "interval_record_table") as table:
             assert cli.main("counts --q 6 --j-max 800 --budget 1e10".split()) == 2
         table.assert_not_called()
+
+
+class TestCheckClasses:
+    """gapscan.check_classes, the one code that counts a run's classes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=st.lists(st.integers(-50, 50), max_size=60),
+           spans=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 30)), max_size=5))
+    def test_sorted_distinct(self, xs, spans):
+        want = sorted(set(xs))
+        assert gapscan.check_classes(xs) == want
+        assert gapscan.check_classes(x for x in xs) == want
+        ranges = [range(lo, lo + n) for lo, n in spans]  # may overlap
+        assert (gapscan.check_classes(r for span in ranges for r in span)
+                == sorted({r for span in ranges for r in span}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cap=st.integers(1, 30), distinct=st.integers(0, 40), data=st.data())
+    def test_refuses_at_cap_plus_one_distinct(self, cap, distinct, data):
+        # each of the distinct residues once, plus any number of repeats, in any order
+        repeats = data.draw(st.lists(st.integers(0, max(distinct - 1, 0)), max_size=80)
+                            if distinct else st.just([]))
+        xs = data.draw(st.permutations(list(range(distinct)) + repeats))
+        read = []
+
+        def residues():
+            for x in xs:
+                read.append(x)
+                yield x
+
+        with mock.patch.object(gapscan, "MAX_CLASSES", cap):
+            if distinct > cap:
+                with pytest.raises(InputError):
+                    gapscan.check_classes(residues())
+                # nothing past the first distinct residue over the cap is read
+                assert len(set(read)) == cap + 1 and len(set(read[:-1])) == cap
+            else:
+                assert gapscan.check_classes(residues()) == list(range(distinct))
+                assert read == xs
 
 
 class TestRecordBounds:

@@ -15,6 +15,7 @@ test_rule_has_one_owner calls every caller of each rule and checks that it
 refuses with the owner's own message."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -32,6 +33,19 @@ def _unsieved(call):
         with mock.patch.object(sieve, "iter_prime_segments",
                                side_effect=AssertionError("the sieve was started")):
             return call()
+    return run
+
+
+def _unsieved_small(call):
+    """_unsieved(call), which also fails the test at a traced peak of 16 MB."""
+    def run():
+        tracemalloc.start()
+        try:
+            return _unsieved(call)()
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 16 << 20, f"traced peak of {peak} bytes"
     return run
 
 
@@ -101,7 +115,13 @@ CHECKS = [
     # 100002 classes of the prime 100003, refused before any is sieved
     ("scan_many-too_many_classes",
      _unsieved(lambda: gapscan.scan_many(100003, range(1, 100003), 10)), InputError),
-    ("check_classes-above_cap", lambda: gapscan.check_classes(MAX_CLASSES + 1), InputError),
+    # refused at the first distinct residue past the cap, before the rest is read
+    ("scan_many-3000016_classes",
+     _unsieved_small(lambda: gapscan.scan_many(3_000_017, range(1, 3_000_017), 10)), InputError),
+    ("scan_many-10**9_residues",
+     _unsieved_small(lambda: gapscan.scan_many(3_000_017, range(1, 10**9), 10)), InputError),
+    ("check_classes-above_cap", lambda: gapscan.check_classes(range(MAX_CLASSES + 1)),
+     InputError),
     ("interval_record_table-j0", lambda: gapscan.interval_record_table(6, 0), InputError),
     ("interval_record_table-q_float", lambda: gapscan.interval_record_table(6.0, 1),
      InputError),
@@ -189,9 +209,9 @@ RULES = {
         "ResidueClass": lambda r: ResidueClass(6, r),
         "scan_many": lambda r: gapscan.scan_many(6, [r], 100),
     }),
-    # n classes of the prime 100003
-    "classes": (gapscan.check_classes, (MAX_CLASSES + 1,), MAX_CLASSES, {
-        "scan_many": lambda n: gapscan.scan_many(100003, range(1, n + 1), 10),
+    # the residues 1..n of the prime 100003
+    "classes": (gapscan.check_classes, (range(1, MAX_CLASSES + 2),), range(1, MAX_CLASSES + 1), {
+        "scan_many": lambda rs: gapscan.scan_many(100003, rs, 10),
     }),
     # every gap caller but predict_first_occurrence, which takes a real d
     "integer_gap": (numutil.check_gap, (6.5,), 6, {
